@@ -21,7 +21,7 @@ from .bounds import (
     positivity_crossover,
     progression_decade_floor,
 )
-from .cache import default_cache_path, read_cache, write_cache
+from .cache import default_cache_path, dump_cache, read_cache, table_for, write_cache
 from .congruence import (
     Class23,
     Class23Tag,
@@ -48,6 +48,7 @@ from .hecke import (
     closed_form_residual,
     deligne_check,
     factorize,
+    hecke_terms,
     tau_of_n,
     tau_prime_power,
     tau_prime_powers,

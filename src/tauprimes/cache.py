@@ -17,9 +17,10 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
+from typing import TextIO
 
 from .errors import CacheMalformedError, CacheTruncatedError, CacheVersionError
-from .series import TauTable
+from .series import TauTable, delta_series
 
 MAGIC = "TAUCACHE"
 VERSION = 1
@@ -36,14 +37,35 @@ def default_cache_path() -> Path | None:
     return Path(root) / DEFAULT_CACHE_NAME
 
 
+def table_for(limit: int, cache_path: str | Path | None = None) -> TauTable:
+    """A table covering tau(1..limit), read from a cache or computed.
+
+    The cache is `cache_path` when given, else default_cache_path().  A
+    missing cache, or one shorter than `limit`, falls back to delta_series;
+    a cache that fails to parse raises its CacheError.  The table returned
+    may extend past `limit`.
+    """
+    path = Path(cache_path) if cache_path else default_cache_path()
+    if path and path.exists():
+        table = read_cache(path)
+        if table.limit >= limit:
+            return table
+    return delta_series(limit)
+
+
+def dump_cache(table: TauTable, stream: TextIO) -> None:
+    """Write the table to an open text stream in the TAUCACHE 1 format."""
+    stream.write(f"{MAGIC} {VERSION}\n{table.limit}\n")
+    stream.writelines(f"{n} {t}\n" for n, t in table.items())
+
+
 def write_cache(table: TauTable, path: str | Path) -> None:
     """Write the table atomically in the TAUCACHE 1 format."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
-            fh.write(f"{MAGIC} {VERSION}\n{table.limit}\n")
-            fh.writelines(f"{n} {t}\n" for n, t in table.items())
+            dump_cache(table, fh)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -10,18 +10,18 @@ import argparse
 import json
 import re
 import sys
-from pathlib import Path
 
 import mpmath
 
 from . import __version__
 from .bounds import bound_report
-from .cache import MAGIC, VERSION, default_cache_path, read_cache, write_cache
-from .congruence import classify_mod23
+from .cache import dump_cache, table_for, write_cache
+from .congruence import Class23Tag, classify_mod23, tau_mod23
 from .hecke import PrimeLocalData, factorize, tau_of_n, tau_prime_power
-from .primality import is_probable_prime
+from .primality import is_probable_prime, primes_up_to
 from .reports import (
     bound_report_to_dict,
+    class23_to_dict,
     census_to_dict,
     envelope,
     hit_from_dict,
@@ -30,7 +30,6 @@ from .reports import (
     to_json,
 )
 from .search import census_by_residue, search_prime_tau, smallest_prime_tau
-from .series import TauTable, delta_series
 from .spectral import EvenIndexPoly, even_index_poly, root_set
 from .verify import Verifier, format_results
 
@@ -72,46 +71,26 @@ def format_poly(poly: EvenIndexPoly) -> str:
     return " ".join(parts)
 
 
-def _table_for(limit: int, cache_arg: str | None) -> TauTable:
-    path = Path(cache_arg) if cache_arg else default_cache_path()
-    if path and path.exists():
-        table = read_cache(path)
-        if table.limit >= limit:
-            return table
-    return delta_series(limit)
-
-
 def _require_prime(p: int) -> None:
     if p < 2 or not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
 
 
 def _cmd_series(args) -> int:
-    table = delta_series(args.limit)
+    table = table_for(args.limit).truncated(args.limit)
     if args.out:
         write_cache(table, args.out)
         print(f"wrote {args.out} with tau(1..{table.limit})")
     else:
-        out = sys.stdout
-        out.write(f"{MAGIC} {VERSION}\n{table.limit}\n")
-        for n, t in table.items():
-            out.write(f"{n} {t}\n")
+        dump_cache(table, sys.stdout)
     return 0
 
 
 def _cmd_tau(args) -> int:
-    n = args.n
-    if n < 1:
+    if args.n < 1:
         raise ValueError("n must be >= 1")
-    path = Path(args.cache) if args.cache else default_cache_path()
-    if path and path.exists():
-        table = read_cache(path)
-        if n <= table.limit:
-            print(table[n])
-            return 0
-    f = factorize(n)
-    largest = max((p for p, _ in f.factors), default=1)
-    table = delta_series(max(largest, 1))
+    f = factorize(args.n)
+    table = table_for(max((p for p, _ in f.factors), default=1), args.cache)
     print(tau_of_n(f, {p: table[p] for p, _ in f.factors}))
     return 0
 
@@ -120,7 +99,7 @@ def _cmd_prime_power(args) -> int:
     _require_prime(args.p)
     if args.k < 0:
         raise ValueError("k must be >= 0")
-    table = delta_series(args.p)
+    table = table_for(args.p)
     print(tau_prime_power(PrimeLocalData(args.p, table[args.p]), args.k))
     return 0
 
@@ -139,20 +118,11 @@ def _cmd_classify(args) -> int:
 def _cmd_congruence_table(args) -> int:
     if args.pmax < 2:
         raise ValueError("--pmax must be >= 2")
-    table = delta_series(args.pmax)
-    from .congruence import Class23Tag
-    from .primality import primes_up_to
-    from .reports import class23_to_dict
-
-    predicted = {
-        Class23Tag.NON_RESIDUE: 0,
-        Class23Tag.PRINCIPAL_FORM: 2,
-        Class23Tag.SPLIT_NON_PRINCIPAL: 22,
-    }
+    table = table_for(args.pmax)
     entries = []
     for p in primes_up_to(args.pmax):
         cls = classify_mod23(p)
-        want = predicted.get(cls.tag)
+        want = None if cls.tag is Class23Tag.IS_TWENTY_THREE else tau_mod23(cls, 1)
         got = table[p] % 23
         entries.append(
             {
@@ -182,7 +152,9 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    hits = search_prime_tau(args.pmax, args.kmax, args.vmax)
+    if args.pmax < 1 or args.kmax < 1:
+        raise ValueError("p_max and k_max must be >= 1")
+    hits = search_prime_tau(args.pmax, args.kmax, args.vmax, table=table_for(args.pmax))
     if args.csv:
         sys.stdout.write(hits_to_csv(hits))
         return 0
@@ -199,7 +171,7 @@ def _cmd_search(args) -> int:
 def _cmd_smallest_prime(args) -> int:
     if args.limit < 1:
         raise ValueError("--limit must be >= 1")
-    table = _table_for(args.limit, args.cache)
+    table = table_for(args.limit, args.cache)
     found = smallest_prime_tau(args.limit, table=table)
     if found is None:
         print("none")
@@ -244,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="tabulate tau(1..N)")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=parse_big_int, required=True)
     p.add_argument("--out", help="write a TAUCACHE file instead of printing")
     p.set_defaults(func=_cmd_series)
 
@@ -263,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("congruence-table", help="predicted vs actual tau(p) mod 23")
-    p.add_argument("--pmax", type=int, required=True)
+    p.add_argument("--pmax", type=parse_big_int, required=True)
     p.set_defaults(func=_cmd_congruence_table)
 
     p = sub.add_parser("poly", help="even-index polynomial G_k and optionally its roots")
@@ -273,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("search", help="prime values among tau(p^{2k})")
-    p.add_argument("--pmax", type=int, required=True)
+    p.add_argument("--pmax", type=parse_big_int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--vmax", type=parse_big_int, required=True)
     fmt = p.add_mutually_exclusive_group()
@@ -282,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("smallest-prime", help="first n with tau(n) prime")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=parse_big_int, required=True)
     p.add_argument("--cache")
     p.set_defaults(func=_cmd_smallest_prime)
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from math import isqrt
+
+from .hecke import hecke_terms
 
 
 class Class23Tag(Enum):
@@ -101,12 +104,7 @@ def tau_mod23(cls: Class23, k: int) -> int:
     if cls.tag is Class23Tag.IS_TWENTY_THREE:
         raise ValueError("p = 23 has no class-determined residue; use exact tau")
     t1, e = _SEEDS[cls.tag]
-    prev, cur = 1, t1
-    if k == 0:
-        return 1
-    for _ in range(k - 1):
-        prev, cur = cur, (t1 * cur - e * prev) % 23
-    return cur % 23
+    return next(islice(hecke_terms(t1, e, 23), k, None))
 
 
 def allowed_residues_for_prime_value(k: int) -> ResidueSet23:

@@ -10,7 +10,8 @@ the exact value against the trigonometric closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import islice
+from typing import Iterator, Mapping
 
 import mpmath
 
@@ -54,31 +55,36 @@ class Factorization:
             raise ValueError(f"factor product {prod} != n {self.n}")
 
 
+def hecke_terms(tau_p: int, x_p: int, modulus: int | None = None) -> Iterator[int]:
+    """Yield tau(p^0), tau(p^1), ... from tau(p) and x_p = p^11, without end.
+
+    This is the one implementation of the order-2 recurrence
+    tau(p^m) = tau(p) tau(p^{m-1}) - p^11 tau(p^{m-2}).  With a modulus
+    every term is reduced mod it; None means exact integers.
+    """
+    prev, cur = 1, tau_p
+    if modulus is not None:
+        prev, cur = prev % modulus, cur % modulus
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, tau_p * cur - x_p * prev
+        if modulus is not None:
+            cur %= modulus
+
+
 def tau_prime_power(local: PrimeLocalData, k: int) -> int:
     """Exact tau(p^k) from the order-2 linear recurrence; k >= 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return 1
-    prev, cur = 1, local.tau_p
-    t, x = local.tau_p, local.x_p
-    for _ in range(k - 1):
-        prev, cur = cur, t * cur - x * prev
-    return cur
+    return next(islice(hecke_terms(local.tau_p, local.x_p), k, None))
 
 
 def tau_prime_powers(local: PrimeLocalData, max_exponent: int) -> list[int]:
     """[tau(p^0), tau(p^1), ..., tau(p^max_exponent)] in one pass."""
     if max_exponent < 0:
         raise ValueError("max_exponent must be >= 0")
-    out = [1]
-    if max_exponent == 0:
-        return out
-    out.append(local.tau_p)
-    t, x = local.tau_p, local.x_p
-    for _ in range(max_exponent - 1):
-        out.append(t * out[-1] - x * out[-2])
-    return out
+    return list(islice(hecke_terms(local.tau_p, local.x_p), max_exponent + 1))
 
 
 def tau_of_n(factorization: Factorization, tau_at_primes: Mapping[int, int]) -> int:

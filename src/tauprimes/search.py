@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from math import isqrt
 
 from .congruence import (
@@ -20,7 +21,7 @@ from .congruence import (
     classify_mod23,
     excluded_b_set,
 )
-from .hecke import PrimeLocalData
+from .hecke import PrimeLocalData, hecke_terms
 from .primality import is_probable_prime, primes_up_to
 from .series import TauTable, delta_series
 
@@ -102,13 +103,9 @@ def search_prime_tau(
     for p in primes_up_to(p_max):
         local = PrimeLocalData(p, table[p])
         cls = classify_mod23(p)
-        t, x = local.tau_p, local.x_p
-        # (a, b) = (tau(p^{2k-2}), tau(p^{2k-1})) entering iteration k
-        a, b = 1, t
+        even_terms = islice(hecke_terms(local.tau_p, local.x_p), 2, 2 * k_max + 1, 2)
         over = 0
-        for k in range(1, k_max + 1):
-            cur = t * b - x * a
-            a, b = cur, t * cur - x * b
+        for k, cur in enumerate(even_terms, start=1):
             if abs(cur) > value_cap:
                 over += 1
                 if over > _OVERSHOOT_GRACE:

@@ -154,6 +154,13 @@ def _convolve_packed(dense: Sequence[int], terms, limit: int) -> list[int]:
     return out
 
 
+def _convolve(dense: Sequence[int], terms, limit: int) -> list[int]:
+    # terms must already be cut to exponents <= limit.
+    if limit >= _PACKED_CUTOVER:
+        return _convolve_packed(dense, terms, limit)
+    return _convolve_schoolbook(dense, terms, limit)
+
+
 def multiply_by_sparse(dense: Sequence[int], sparse: SparseCubeSeries, limit: int) -> list[int]:
     """Truncated product of a dense coefficient list with a sparse series.
 
@@ -162,10 +169,7 @@ def multiply_by_sparse(dense: Sequence[int], sparse: SparseCubeSeries, limit: in
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    terms = [(e, c) for e, c in sparse.terms if e <= limit]
-    if limit >= _PACKED_CUTOVER:
-        return _convolve_packed(dense, terms, limit)
-    return _convolve_schoolbook(dense, terms, limit)
+    return _convolve(dense, [(e, c) for e, c in sparse.terms if e <= limit], limit)
 
 
 def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTable:
@@ -185,9 +189,6 @@ def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTabl
     terms = _cube_terms(degree)
     dense: Sequence[int] = [1]
     for _ in range(8):
-        if degree >= _PACKED_CUTOVER:
-            dense = _convolve_packed(dense, terms, degree)
-        else:
-            dense = _convolve_schoolbook(dense, terms, degree)
+        dense = _convolve(dense, terms, degree)
     # Delta = q * cube^8, so tau(n) is the cube^8 coefficient at degree n-1.
     return TauTable(tuple(dense))

@@ -15,7 +15,7 @@ from pathlib import Path
 import mpmath
 
 from . import bounds as bnd
-from .cache import read_cache
+from .cache import table_for
 from .congruence import (
     Class23Tag,
     allowed_residues_for_prime_value,
@@ -24,7 +24,6 @@ from .congruence import (
     parity_law,
     tau_mod23,
 )
-from .errors import CacheError
 from .hecke import PrimeLocalData, closed_form_residual, factorize, tau_of_n, tau_prime_powers
 from .primality import primes_up_to
 from .search import Verdict, census_by_residue, search_prime_tau, smallest_prime_tau
@@ -81,13 +80,8 @@ class Verifier:
         self._table: TauTable | None = None
 
     def table(self, limit: int) -> TauTable:
-        if self._table is None and self.cache_path and self.cache_path.exists():
-            try:
-                self._table = read_cache(self.cache_path)
-            except CacheError:
-                self._table = None
         if self._table is None or self._table.limit < limit:
-            self._table = delta_series(limit)
+            self._table = table_for(limit, self.cache_path)
         return self._table.truncated(limit) if self._table.limit > limit else self._table
 
     def run(self, suite: str) -> list[CheckResult]:
@@ -169,11 +163,6 @@ class Verifier:
     def _suite_congruence(self) -> list[CheckResult]:
         out = []
         table = self.table(10_000)
-        expected = {
-            Class23Tag.NON_RESIDUE: 0,
-            Class23Tag.PRINCIPAL_FORM: 2,
-            Class23Tag.SPLIT_NON_PRINCIPAL: 22,
-        }
         bad = []
         for p in primes_up_to(10_000):
             cls = classify_mod23(p)
@@ -183,7 +172,7 @@ class Verifier:
                 a, b = cls.witness
                 if a * a + 23 * b * b != p:
                     bad.append((p, "witness"))
-            if table[p] % 23 != expected[cls.tag]:
+            if table[p] % 23 != tau_mod23(cls, 1):
                 bad.append((p, cls.tag.value))
         out.append(
             CheckResult(

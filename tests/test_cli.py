@@ -1,6 +1,7 @@
 """CLI behavior: command surface, exit codes, report determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -43,6 +44,12 @@ def test_series_out_writes_cache(capsys, tmp_path):
     code, out, _ = run(capsys, "series", "--limit", "10", "--out", str(target))
     assert code == 0 and str(target) in out
     assert target.read_text().startswith("TAUCACHE 1\n10\n1 1\n")
+    # Past the packed-multiplication cutover, stdout and --out carry the same bytes.
+    target = tmp_path / "t600.cache"
+    code, _, _ = run(capsys, "series", "--limit", "600", "--out", str(target))
+    assert code == 0
+    code, out, _ = run(capsys, "series", "--limit", "600")
+    assert code == 0 and out.encode("ascii") == target.read_bytes()
 
 
 def test_series_over_budget(capsys):
@@ -109,6 +116,14 @@ def test_classify(capsys):
     assert run(capsys, "classify", "23")[1].strip() == "IsTwentyThree"
     code, _, err = run(capsys, "classify", "60")
     assert code == 1 and "not prime" in err
+
+
+def test_congruence_table_big_int_pmax(capsys):
+    code, plain, _ = run(capsys, "congruence-table", "--pmax", "100")
+    assert code == 0
+    code, sci, _ = run(capsys, "congruence-table", "--pmax", "1e2")
+    assert code == 0
+    assert json.loads(sci)["payload"] == json.loads(plain)["payload"]
 
 
 def test_congruence_table(capsys):
@@ -218,6 +233,35 @@ def test_verify_quick_suite(capsys):
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
     assert out.strip().endswith("4/4 checks passed")
+
+
+def test_verify_corrupt_cache(capsys, tmp_path):
+    path = tmp_path / "bad.cache"
+    path.write_text("TAUCACHE 9\n1\n1 1\n")
+    code, out, err = run(capsys, "verify", "--suite", "congruence", "--cache", str(path))
+    assert code == 1 and "version" in err
+    assert "checks passed" not in out
+
+
+def test_commands_read_env_cache(capsys, tmp_path, monkeypatch):
+    commands = (
+        ("search", "--pmax", "300", "--kmax", "1", "--vmax", "1e27"),
+        ("prime-power", "3", "2"),
+        ("congruence-table", "--pmax", "300"),
+    )
+    usual = [strip_timestamp(run(capsys, *argv)[1]) for argv in commands]
+    write_cache(delta_series(300), tmp_path / "taucache.txt")
+    monkeypatch.setenv("TAUPRIMES_CACHE_DIR", str(tmp_path))
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("tau series computed although the cache covers the request")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tauprimes") and hasattr(module, "delta_series"):
+            monkeypatch.setattr(module, "delta_series", no_series)
+    for argv, want in zip(commands, usual):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and strip_timestamp(out) == want, argv
 
 
 def test_usage_errors(capsys):
