@@ -38,17 +38,16 @@ def default_cache_path() -> Path | None:
 
 
 def table_for(limit: int, cache_path: str | Path | None = None) -> TauTable:
-    """A table covering tau(1..limit), read from a cache or computed.
+    """tau(1..limit) from the first `limit` records of a cache, or computed.
 
     The cache is `cache_path` when given, else default_cache_path().  A
-    missing cache, or one shorter than `limit`, falls back to delta_series;
-    a cache that fails to parse raises its CacheError.  The table returned
-    may extend past `limit`.
+    missing cache, or one holding fewer than `limit` records, falls back to
+    delta_series; a bad header or needed record raises its CacheError.
     """
     path = Path(cache_path) if cache_path else default_cache_path()
     if path and path.exists():
-        table = read_cache(path)
-        if table.limit >= limit:
+        table = _read_records(path, limit)
+        if table is not None:
             return table
     return delta_series(limit)
 
@@ -77,13 +76,18 @@ def write_cache(table: TauTable, path: str | Path) -> None:
 
 def read_cache(path: str | Path) -> TauTable:
     """Parse a TAUCACHE file back into a table, validating strictly."""
+    return _read_records(path)
+
+
+def _read_records(path: str | Path, want: int | None = None) -> TauTable | None:
+    """All records, or only the first `want` (None if the file promises fewer)."""
     try:
         # newline="" keeps CR bytes visible so non-LF line endings are rejected
         with open(Path(path), "r", encoding="ascii", newline="") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise CacheMalformedError(f"file is not ASCII text: {exc}") from exc
-    lines = text.split("\n")
+    lines = text.split("\n", -1 if want is None else want + 2)
     if lines and lines[-1] == "":
         lines.pop()
 
@@ -104,11 +108,14 @@ def read_cache(path: str | Path) -> TauTable:
     if count < 1:
         raise CacheMalformedError("record count must be >= 1", line=2)
 
-    if len(lines) > 2 + count:
+    if want is not None:
+        if count < want:
+            return None
+    elif len(lines) > 2 + count:
         raise CacheMalformedError("content after the last promised record", line=2 + count + 1)
 
     values = []
-    for idx in range(count):
+    for idx in range(count if want is None else want):
         line_no = idx + 3
         if idx + 2 >= len(lines):
             raise CacheTruncatedError(

@@ -30,6 +30,7 @@ from .reports import (
     to_json,
 )
 from .search import census_by_residue, search_prime_tau, smallest_prime_tau
+from .series import delta_series
 from .spectral import EvenIndexPoly, even_index_poly, root_set
 from .verify import Verifier, format_results
 
@@ -77,7 +78,7 @@ def _require_prime(p: int) -> None:
 
 
 def _cmd_series(args) -> int:
-    table = table_for(args.limit).truncated(args.limit)
+    table = delta_series(args.limit)
     if args.out:
         write_cache(table, args.out)
         print(f"wrote {args.out} with tau(1..{table.limit})")
@@ -152,9 +153,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.pmax < 1 or args.kmax < 1:
-        raise ValueError("p_max and k_max must be >= 1")
-    hits = search_prime_tau(args.pmax, args.kmax, args.vmax, table=table_for(args.pmax))
+    hits = search_prime_tau(args.pmax, args.kmax, args.vmax, table=table_for(max(args.pmax, 1)))
     if args.csv:
         sys.stdout.write(hits_to_csv(hits))
         return 0

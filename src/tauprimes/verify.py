@@ -80,8 +80,9 @@ class Verifier:
         self._table: TauTable | None = None
 
     def table(self, limit: int) -> TauTable:
+        # Only a named cache stands in for delta_series, never $TAUPRIMES_CACHE_DIR.
         if self._table is None or self._table.limit < limit:
-            self._table = table_for(limit, self.cache_path)
+            self._table = table_for(limit, self.cache_path) if self.cache_path else delta_series(limit)
         return self._table.truncated(limit) if self._table.limit > limit else self._table
 
     def run(self, suite: str) -> list[CheckResult]:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from tauprimes.cache import default_cache_path, read_cache, write_cache
+from tauprimes.cache import default_cache_path, read_cache, table_for, write_cache
 from tauprimes.errors import (
     CacheMalformedError,
     CacheTruncatedError,
@@ -99,3 +99,19 @@ def test_default_cache_path(monkeypatch, tmp_path):
     assert default_cache_path() is None
     monkeypatch.setenv("TAUPRIMES_CACHE_DIR", str(tmp_path))
     assert default_cache_path() == tmp_path / "taucache.txt"
+
+
+def test_table_for_parses_only_needed_records(tmp_path):
+    path = tmp_path / "t.cache"
+    write_text(path, GOOD.replace("3 252", "3 0252"))
+    assert table_for(2, path).coeffs == (1, -24)
+    with pytest.raises(CacheMalformedError) as info:
+        table_for(3, path)
+    assert info.value.line == 5
+    with pytest.raises(CacheMalformedError):
+        read_cache(path)
+    # a cache promising fewer records than requested is not consulted
+    assert table_for(4, path) == delta_series(4)
+    write_text(path, "TAUCACHE 9\n3\n")
+    with pytest.raises(CacheVersionError):
+        table_for(1, path)

@@ -7,7 +7,8 @@ import pytest
 
 from tauprimes.cache import write_cache
 from tauprimes.cli import main, parse_big_int
-from tauprimes.series import delta_series
+from tauprimes.series import TauTable, delta_series
+from tauprimes.verify import Verifier
 
 LEHMER = "-80561663527802406257321747"
 
@@ -241,6 +242,16 @@ def test_verify_corrupt_cache(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--suite", "congruence", "--cache", str(path))
     assert code == 1 and "version" in err
     assert "checks passed" not in out
+
+
+def test_verifier_ignores_env_cache(tmp_path, monkeypatch):
+    # A parseable cache with a wrong tau(2): verify checks it only when named.
+    path = tmp_path / "taucache.txt"
+    wrong = TauTable((1, -25) + delta_series(300).coeffs[2:])
+    write_cache(wrong, path)
+    monkeypatch.setenv("TAUPRIMES_CACHE_DIR", str(tmp_path))
+    assert Verifier().table(300) == delta_series(300)
+    assert Verifier(path).table(300) == wrong
 
 
 def test_commands_read_env_cache(capsys, tmp_path, monkeypatch):
