@@ -62,13 +62,7 @@ from .search import (
     search_prime_tau,
     smallest_prime_tau,
 )
-from .series import (
-    SparseCubeSeries,
-    TauTable,
-    delta_series,
-    jacobi_cube,
-    multiply_by_sparse,
-)
+from .series import TauTable, delta_series
 from .spectral import (
     ApproximationQuality,
     EvenIndexPoly,

@@ -225,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("prime-power", help="tau(P^K) by the local recurrence")
-    p.add_argument("p", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("p", type=parse_big_int)
+    p.add_argument("k", type=parse_big_int)
     p.set_defaults(func=_cmd_prime_power)
 
     p = sub.add_parser("classify", help="mod-23 class of a prime")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=parse_big_int)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("congruence-table", help="predicted vs actual tau(p) mod 23")
@@ -238,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_congruence_table)
 
     p = sub.add_parser("poly", help="even-index polynomial G_k and optionally its roots")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=parse_big_int, required=True)
     p.add_argument("--roots", action="store_true")
-    p.add_argument("--digits", type=int)
+    p.add_argument("--digits", type=parse_big_int)
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("search", help="prime values among tau(p^{2k})")
     p.add_argument("--pmax", type=parse_big_int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=parse_big_int, required=True)
     p.add_argument("--vmax", type=parse_big_int, required=True)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON envelope (default)")

@@ -5,43 +5,26 @@ triangular numbers,
 
     prod_{n>=1} (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2},
 
-so the 24th power is the 8th power of that sparse series and tau(1..N)
-falls out of eight dense-by-sparse truncated multiplications.  The sparse
-side has about sqrt(2N) terms, giving O(N * sqrt(N)) integer operations
-instead of the O(N^2) of repeated dense multiplication.
+so the 24th power is the 8th power of that series.  The cube is packed
+once into a single base-10^w Decimal (Kronecker substitution) and squared
+three times; libmpdec multiplies large operands with a number-theoretic
+transform, so the whole table costs three big multiplications.  Each
+square is reduced mod 10^(n*w) by slicing its digit string, and the
+signed coefficients are read back by offsetting every limb by half the
+base.
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import BudgetExceededError
 
 # Refuse series longer than this unless the caller raises the ceiling;
 # 2*10^5 keeps worst-case memory and time at desk scale.
 DEFAULT_LIMIT_CEILING = 200_000
-
-# Below this truncation degree the schoolbook loop beats the packing overhead.
-_PACKED_CUTOVER = 512
-
-
-@dataclass(frozen=True)
-class SparseCubeSeries:
-    """Truncation of prod (1-q^n)^3; terms are (exponent, coefficient) pairs.
-
-    Exponents are exactly the triangular numbers m(m+1)/2 <= limit and the
-    coefficient at m(m+1)/2 is (-1)^m (2m+1).
-    """
-
-    limit: int
-    terms: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.limit < 1:
-            raise ValueError("limit must be >= 1")
-        if not self.terms or self.terms[0] != (0, 1):
-            raise ValueError("series must start with the constant term (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -91,89 +74,8 @@ def _cube_terms(limit: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
-def jacobi_cube(limit: int) -> SparseCubeSeries:
-    """Sparse truncation of prod (1-q^n)^3 through degree `limit` (>= 1)."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    return SparseCubeSeries(limit, _cube_terms(limit))
-
-
-def _convolve_schoolbook(dense: Sequence[int], terms, limit: int) -> list[int]:
-    out = [0] * (limit + 1)
-    m = min(len(dense), limit + 1)
-    for e, c in terms:
-        span = min(m, limit + 1 - e)
-        for i in range(span):
-            out[i + e] += c * dense[i]
-    return out
-
-
-def _convolve_packed(dense: Sequence[int], terms, limit: int) -> list[int]:
-    # Kronecker substitution: pack both factors into single big integers with
-    # byte-aligned limbs wide enough that convolution limbs never carry, do
-    # the whole truncated product as 4 big-int multiplications, and unpack.
-    # Positive and negative parts are packed separately so limbs stay
-    # non-negative; the final per-limb subtraction restores signs exactly.
-    n = limit + 1
-    maxabs = max(map(abs, dense), default=0)
-    weight = sum(abs(c) for _, c in terms)
-    limb_bits = maxabs.bit_length() + weight.bit_length() + 2
-    w = (limb_bits + 7) // 8
-    bits = 8 * w
-
-    pos = bytearray(n * w)
-    neg = bytearray(n * w)
-    for i, c in enumerate(dense[:n]):
-        if c > 0:
-            pos[i * w : (i + 1) * w] = c.to_bytes(w, "little")
-        elif c < 0:
-            neg[i * w : (i + 1) * w] = (-c).to_bytes(w, "little")
-    dense_pos = int.from_bytes(pos, "little")
-    dense_neg = int.from_bytes(neg, "little")
-
-    sparse_pos = 0
-    sparse_neg = 0
-    for e, c in terms:
-        if c > 0:
-            sparse_pos += c << (e * bits)
-        else:
-            sparse_neg += (-c) << (e * bits)
-
-    mask = (1 << (n * bits)) - 1
-    plus = (dense_pos * sparse_pos + dense_neg * sparse_neg) & mask
-    minus = (dense_pos * sparse_neg + dense_neg * sparse_pos) & mask
-    plus_b = plus.to_bytes(n * w, "little")
-    minus_b = minus.to_bytes(n * w, "little")
-
-    out = [0] * n
-    fb = int.from_bytes
-    for i in range(n):
-        a = i * w
-        b = a + w
-        out[i] = fb(plus_b[a:b], "little") - fb(minus_b[a:b], "little")
-    return out
-
-
-def _convolve(dense: Sequence[int], terms, limit: int) -> list[int]:
-    # terms must already be cut to exponents <= limit.
-    if limit >= _PACKED_CUTOVER:
-        return _convolve_packed(dense, terms, limit)
-    return _convolve_schoolbook(dense, terms, limit)
-
-
-def multiply_by_sparse(dense: Sequence[int], sparse: SparseCubeSeries, limit: int) -> list[int]:
-    """Truncated product of a dense coefficient list with a sparse series.
-
-    `dense` is indexed from degree 0; the result holds degrees 0..limit.
-    Exact integer arithmetic throughout.
-    """
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    return _convolve(dense, [(e, c) for e, c in sparse.terms if e <= limit], limit)
-
-
 def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTable:
-    """tau(1..limit) via eight sparse multiplications of the cube series.
+    """tau(1..limit) via three squarings of the packed cube series.
 
     Refuses limits above `ceiling` instead of attempting an unbounded
     allocation; raise the ceiling explicitly for larger runs.
@@ -185,10 +87,23 @@ def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTabl
             f"series limit {limit} exceeds the ceiling {ceiling}; "
             "pass a larger ceiling= explicitly to allow this"
         )
-    degree = limit - 1
-    terms = _cube_terms(degree)
-    dense: Sequence[int] = [1]
-    for _ in range(8):
-        dense = _convolve(dense, terms, degree)
     # Delta = q * cube^8, so tau(n) is the cube^8 coefficient at degree n-1.
-    return TauTable(tuple(dense))
+    terms = _cube_terms(limit - 1)
+    # Every cube^8 coefficient below degree `limit` is at most W^8 in size,
+    # W the sum of |c|; limbs of w digits hold it once offset by half.
+    w = len(str(2 * sum(abs(c) for _, c in terms) ** 8))
+    half = 5 * 10 ** (w - 1)
+    digits = limit * w
+    pos = ["0" * w] * limit
+    neg = ["0" * w] * limit
+    for e, c in terms:
+        (pos if c > 0 else neg)[limit - 1 - e] = str(abs(c)).zfill(w)
+    # Exact arithmetic only: any rounding raises Inexact instead of passing.
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    x = ctx.subtract(decimal.Decimal("".join(pos)), decimal.Decimal("".join(neg)))
+    for _ in range(3):
+        x = decimal.Decimal(str(ctx.multiply(x, x))[-digits:])
+    # x = sum d_i 10^(i*w) mod 10^digits with |d_i| < half; adding half to
+    # every limb makes each one a plain w-digit chunk d_i + half.
+    s = str(ctx.add(x, decimal.Decimal(str(half) * limit)))[-digits:]
+    return TauTable(tuple(int(s[a - w : a]) - half for a in range(digits, 0, -w)))

@@ -57,8 +57,8 @@ class CheckResult:
 def brute_force_delta(limit: int) -> list[int]:
     """tau(1..limit) by 24 naive multiplications per Euler factor (1 - q^n).
 
-    Deliberately ignorant of the sparse-series identity and of the packed
-    convolution; this is the independent oracle.
+    Deliberately ignorant of the Jacobi cube identity and of the packed
+    squarings; this is the independent oracle.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")

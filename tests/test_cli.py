@@ -45,7 +45,7 @@ def test_series_out_writes_cache(capsys, tmp_path):
     code, out, _ = run(capsys, "series", "--limit", "10", "--out", str(target))
     assert code == 0 and str(target) in out
     assert target.read_text().startswith("TAUCACHE 1\n10\n1 1\n")
-    # Past the packed-multiplication cutover, stdout and --out carry the same bytes.
+    # For a longer table with wider limbs, stdout and --out carry the same bytes.
     target = tmp_path / "t600.cache"
     code, _, _ = run(capsys, "series", "--limit", "600", "--out", str(target))
     assert code == 0
@@ -107,6 +107,16 @@ def test_prime_power(capsys):
     assert code == 0 and out.strip() == "1"
     code, _, err = run(capsys, "prime-power", "4", "2")
     assert code == 1 and "not prime" in err
+
+
+def test_big_int_forms_for_small_arguments(capsys):
+    code, out, _ = run(capsys, "prime-power", "3", "1e0")
+    assert code == 0 and out.strip() == "252"
+    args = ("search", "--pmax", "300", "--vmax", "1e27")
+    code, plain, _ = run(capsys, *args, "--kmax", "1")
+    assert code == 0
+    code, sci, _ = run(capsys, *args, "--kmax", "1e0")
+    assert code == 0 and strip_timestamp(sci) == strip_timestamp(plain)
 
 
 def test_classify(capsys):

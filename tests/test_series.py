@@ -1,25 +1,28 @@
-"""Series engine: sparse cube series, truncated products, tau tables."""
+"""Series engine: cube series, packed squarings, tau tables."""
+
+import hashlib
+import io
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from tauprimes.cache import dump_cache
 from tauprimes.errors import BudgetExceededError
-from tauprimes.series import (
-    SparseCubeSeries,
-    TauTable,
-    _convolve_packed,
-    _convolve_schoolbook,
-    delta_series,
-    jacobi_cube,
-    multiply_by_sparse,
-)
+from tauprimes.series import TauTable, _cube_terms, delta_series
+from tauprimes.verify import brute_force_delta
 
 EXPANSION_HEAD = [1, -24, 252, -1472, 4830]
 
+# SHA-256 of the TAUCACHE bytes of tau(1..limit), recorded from the earlier
+# eight-multiplication engine; 2000 and 63001 equal perfbench's CACHE_DIGESTS.
+TAUCACHE_DIGESTS = {
+    2000: "694a47576062d65d18d8edc4628d1756459340d5a5ea82c319fb835d9a691d37",
+    63001: "f945c9aea54cff1a2622f6fc5fdcb078366691ca13fe0f3b000d433bf4dc0c70",
+    100_000: "b8c7afb50c10245810952abab01e0120d59191bf84024c9e3b2e90270dc929b1",
+}
+
 
 def brute_cube(limit):
-    # prod (1-q^n)^3 by naive repeated multiplication; oracle for jacobi_cube.
+    # prod (1-q^n)^3 by naive repeated multiplication; oracle for _cube_terms.
     poly = [0] * (limit + 1)
     poly[0] = 1
     for n in range(1, limit + 1):
@@ -30,58 +33,50 @@ def brute_cube(limit):
 
 
 def test_jacobi_cube_small_truncations():
-    assert jacobi_cube(1).terms == ((0, 1), (1, -3))
-    assert jacobi_cube(6).terms == ((0, 1), (1, -3), (3, 5), (6, -7))
+    assert _cube_terms(1) == ((0, 1), (1, -3))
+    assert _cube_terms(6) == ((0, 1), (1, -3), (3, 5), (6, -7))
 
 
 def test_jacobi_cube_matches_brute_expansion():
     for limit in (1, 2, 7, 40):
         dense = [0] * (limit + 1)
-        for e, c in jacobi_cube(limit).terms:
+        for e, c in _cube_terms(limit):
             dense[e] = c
         assert dense == brute_cube(limit)
 
 
 def test_jacobi_cube_term_shape():
-    series = jacobi_cube(5000)
-    for m, (e, c) in enumerate(series.terms):
+    terms = _cube_terms(5000)
+    for m, (e, c) in enumerate(terms):
         assert e == m * (m + 1) // 2
         assert c == (2 * m + 1) * (-1) ** m
-    count = len(series.terms)
-    assert series.terms[-1][0] <= 5000
+    count = len(terms)
+    assert terms[-1][0] <= 5000
     assert count * (count + 1) // 2 > 5000
 
 
-def test_jacobi_cube_rejects_zero():
-    with pytest.raises(ValueError):
-        jacobi_cube(0)
+def test_delta_series_matches_brute_force():
+    # 1..64 crosses every change of limb width up to 17 digits.
+    for n in [*range(1, 65), 500]:
+        assert list(delta_series(n).coeffs) == brute_force_delta(n), n
 
 
-def test_multiply_by_sparse_frozen_examples():
-    assert multiply_by_sparse([1], jacobi_cube(3), 3) == [1, -3, 0, 5]
-    assert multiply_by_sparse([1, -3], jacobi_cube(1), 2) == [1, -6, 9]
+def test_taucache_digests(table100k):
+    for limit, digest in TAUCACHE_DIGESTS.items():
+        buf = io.StringIO()
+        dump_cache(table100k.truncated(limit), buf)
+        assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == digest, limit
 
 
-def test_multiply_by_sparse_negative_limit():
-    with pytest.raises(ValueError):
-        multiply_by_sparse([1], jacobi_cube(1), -1)
-
-
-@given(
-    dense=st.lists(st.integers(min_value=-(10**12), max_value=10**12), min_size=0, max_size=80),
-    limit=st.integers(min_value=0, max_value=120),
-)
-@settings(max_examples=200)
-def test_packed_convolution_equals_schoolbook(dense, limit):
-    terms = [(e, c) for e, c in jacobi_cube(max(limit, 1)).terms if e <= limit]
-    assert _convolve_packed(dense, terms, limit) == _convolve_schoolbook(dense, terms, limit)
-
-
-def test_packed_convolution_equals_schoolbook_above_cutover():
-    table = delta_series(600)
-    dense = list(table.coeffs)
-    terms = list(jacobi_cube(599).terms)
-    assert _convolve_packed(dense, terms, 599) == _convolve_schoolbook(dense, terms, 599)
+def test_ramanujan_congruence_mod_691(table100k):
+    # tau(n) = sigma_11(n) (mod 691), sigma_11 by a divisor sieve mod 691.
+    limit = len(table100k)
+    sigma = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        power = pow(d, 11, 691)
+        for m in range(d, limit + 1, d):
+            sigma[m] += power
+    assert all((t - sigma[n]) % 691 == 0 for n, t in table100k.items())
 
 
 def test_delta_series_head():
@@ -124,7 +119,3 @@ def test_tau_table_validates_tau1():
     with pytest.raises(ValueError):
         TauTable(())
 
-
-def test_sparse_series_type_invariants():
-    with pytest.raises(ValueError):
-        SparseCubeSeries(3, ((1, -3),))
