@@ -32,7 +32,7 @@ from .reports import (
 from .search import census_by_residue, search_prime_tau, smallest_prime_tau
 from .series import delta_series
 from .spectral import EvenIndexPoly, even_index_poly, root_set
-from .verify import Verifier, format_results
+from .verify import SUITES, Verifier, format_results
 
 
 def parse_big_int(text: str) -> int:
@@ -145,10 +145,9 @@ def _cmd_poly(args) -> int:
     if args.roots:
         if args.k < 1:
             raise ValueError("--roots needs k >= 1")
-        digits = args.digits or max(50, 4 * args.k)
-        rs = root_set(args.k, digits)
+        rs = root_set(args.k, args.digits)
         for j, alpha in enumerate(rs.alphas, start=1):
-            print(f"alpha[{j}] = {mpmath.nstr(alpha, digits)}")
+            print(f"alpha[{j}] = {mpmath.nstr(alpha, rs.precision_digits)}")
     return 0
 
 
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("verify", help="run a reproduction suite")
-    p.add_argument("--suite", required=True, choices=("series", "congruence", "spectral", "search", "bounds", "all"))
+    p.add_argument("--suite", required=True, choices=SUITES + ("all",))
     p.add_argument("--cache", help="TAUCACHE file to reuse for the heavy suites")
     p.set_defaults(func=_cmd_verify)
 

@@ -26,8 +26,12 @@ from .hecke import PrimeLocalData, tau_prime_powers
 DEFAULT_MAX_K = 10_000
 
 
-def _default_digits(k: int) -> int:
-    return max(50, 4 * k)
+def _working_digits(k: int, precision_digits: int | None) -> int:
+    """precision_digits, or max(50, 4k) when None; at least 20."""
+    digits = max(50, 4 * k) if precision_digits is None else precision_digits
+    if digits < 20:
+        raise ValueError("precision_digits must be >= 20")
+    return digits
 
 
 @dataclass(frozen=True)
@@ -116,21 +120,24 @@ def root_set(k: int, precision_digits: int | None = None) -> RootSet:
     """alpha_{j,k} = 4 cos^2(pi j/(2k+1)), j = 1..k, strictly decreasing."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    digits = _default_digits(k) if precision_digits is None else precision_digits
-    if digits < 20:
-        raise ValueError("precision_digits must be >= 20")
+    digits = _working_digits(k, precision_digits)
     with mpmath.workdps(digits):
         alphas = tuple(4 * mpmath.cos(mpmath.pi * j / (2 * k + 1)) ** 2 for j in range(1, k + 1))
     return RootSet(k, alphas, digits)
 
 
 def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:
-    """Smallest distance between distinct roots of G_k(1, y); k >= 2."""
+    """Smallest distance between distinct roots of G_k(1, y); k >= 2.
+
+    With n = 2k+1 the gap alpha_{j-1} - alpha_j is 4 sin(pi (2j-1)/n) sin(pi/n).
+    Sine is concave on (0, pi), so over j = 2..k it is least at an end, and
+    sin(pi (2k-1)/n) = sin(2 pi/n) <= sin(3 pi/n) because 5 pi/n <= pi.
+    """
     if k < 2:
         raise ValueError("k must be >= 2 for a gap to exist")
-    rs = root_set(k, precision_digits)
-    with mpmath.workdps(rs.precision_digits):
-        return min(rs.alphas[i] - rs.alphas[i + 1] for i in range(k - 1))
+    with mpmath.workdps(_working_digits(k, precision_digits)):
+        a = mpmath.pi / (2 * k + 1)
+        return 4 * mpmath.sin(a) * mpmath.sin(2 * a)
 
 
 def _local_angle(local: PrimeLocalData, digits: int):
@@ -199,7 +206,7 @@ def approximation_quality(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    digits = _default_digits(k) if precision_digits is None else precision_digits
+    digits = _working_digits(k, precision_digits)
     approx = reduce_ratio(local.y_p, local.x_p)
     rs = root_set(k, digits)
     with mpmath.workdps(digits):

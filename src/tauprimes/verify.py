@@ -1,8 +1,9 @@
 """Self-contained verification suites behind `tauprimes verify`.
 
 Each check recomputes a published or derivable fact through two routes
-that share as little code as possible (sparse series vs naive expansion,
-recurrence vs closed form, formula vs sieve) and reports pass/fail.
+that share as little code as possible (packed series vs naive expansion,
+recurrence vs closed form, formula vs sieve) and reports pass/fail.  Its
+detail counts what was compared, so a check that compared nothing shows.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import mpmath
 from . import bounds as bnd
 from .cache import table_for
 from .congruence import (
+    Class23,
     Class23Tag,
     allowed_residues_for_prime_value,
     classify_mod23,
@@ -24,7 +26,7 @@ from .congruence import (
     parity_law,
     tau_mod23,
 )
-from .hecke import PrimeLocalData, closed_form_residual, factorize, tau_of_n, tau_prime_powers
+from .hecke import PrimeLocalData, closed_form_residual, factorize, tau_of_n
 from .primality import primes_up_to
 from .search import Verdict, census_by_residue, search_prime_tau, smallest_prime_tau
 from .series import TauTable, delta_series
@@ -109,26 +111,30 @@ class Verifier:
             )
         )
 
+        # A fresh 500-term series, and the table in use (which may be a cache).
         oracle = brute_force_delta(500)
-        table500 = self.table(500)
-        agree = all(oracle[n - 1] == table500[n] for n in range(1, 501))
+        agree = [
+            sum(oracle[n - 1] == t[n] for n in range(1, 501)) for t in (delta_series(500), self.table(500))
+        ]
         out.append(
             CheckResult(
                 "series",
                 "naive Euler-product oracle, n <= 500",
-                agree,
-                "sparse-series and naive expansions agree" if agree else "MISMATCH",
+                agree == [500, 500],
+                f"naive expansion agrees on {agree[0]}/500 terms of delta_series(500) "
+                f"and {agree[1]}/500 of the table in use",
             )
         )
 
         table = self.table(100_000)
-        bad = sum(1 for n, t in table.items() if not parity_law(n, t))
+        laws = [parity_law(n, t) for n, t in table.items()]
+        bad = laws.count(False)
         out.append(
             CheckResult(
                 "series",
                 "parity law, n <= 10^5",
                 bad == 0,
-                f"{bad} violations",
+                f"{bad} violations over {len(laws)} values",
             )
         )
 
@@ -165,10 +171,12 @@ class Verifier:
         out = []
         table = self.table(10_000)
         bad = []
+        checked = 0
         for p in primes_up_to(10_000):
             cls = classify_mod23(p)
             if cls.tag is Class23Tag.IS_TWENTY_THREE:
                 continue
+            checked += 1
             if cls.witness is not None:
                 a, b = cls.witness
                 if a * a + 23 * b * b != p:
@@ -180,34 +188,43 @@ class Verifier:
                 "congruence",
                 "class determines tau(p) mod 23, p < 10^4",
                 not bad,
-                f"{len(bad)} violations {bad[:3]}" if bad else "all classes match",
+                (f"{len(bad)} violations {bad[:3]}" if bad else "all classes match")
+                + f" over {checked} primes",
             )
         )
 
-        bad = 0
-        table300 = table.truncated(300)
+        bad = pairs = 0
         for p in primes_up_to(299):
             if p == 23:
                 continue
             cls = classify_mod23(p)
-            exact = tau_prime_powers(PrimeLocalData(p, table300[p]), 100)
-            bad += sum(1 for k in range(101) if exact[k] % 23 != tau_mod23(cls, k))
+            for k, exact in enumerate(_two_term_powers(p, table[p], 100)):
+                pairs += 1
+                bad += exact % 23 != tau_mod23(cls, k)
         out.append(
             CheckResult(
                 "congruence",
                 "recurrence mod 23 vs exact big-int, p < 300, k <= 100",
                 bad == 0,
-                f"{bad} mismatches",
+                f"{bad} mismatches over {pairs} pairs",
             )
         )
 
-        pats_ok = _pattern_check()
+        nr = Class23(Class23Tag.NON_RESIDUE)
+        sp = Class23(Class23Tag.SPLIT_NON_PRINCIPAL)
+        pr = Class23(Class23Tag.PRINCIPAL_FORM, (6, 1))
+        patterns = [
+            (tau_mod23(nr, k), tau_mod23(sp, k), tau_mod23(pr, k))
+            == (1 - k % 2, (1, 22, 0)[k % 3], (k + 1) % 23)
+            for k in range(1001)
+        ]
         out.append(
             CheckResult(
                 "congruence",
                 "periodic residue patterns, k <= 1000",
-                pats_ok,
-                "non-residue alternates 1,0; split class cycles 1,22,0; principal gives k+1",
+                all(patterns),
+                "non-residue alternates 1,0; split class cycles 1,22,0; principal gives k+1; "
+                f"{patterns.count(False)} mismatches over {len(patterns)} exponents",
             )
         )
 
@@ -238,111 +255,112 @@ class Verifier:
 
     def _suite_spectral(self) -> list[CheckResult]:
         out = []
-        table = self.table(20)
-        bad = 0
+        table = self.table(50)
+        bad = compared = 0
         for p in primes_up_to(20):
             local = PrimeLocalData(p, table[p])
-            values = tau_prime_powers(local, 16)
+            values = _two_term_powers(p, local.tau_p, 16)
             for k in range(9):
-                if eval_even_poly(even_index_poly(k), local.x_p, local.y_p) != values[2 * k]:
-                    bad += 1
+                compared += 1
+                bad += eval_even_poly(even_index_poly(k), local.x_p, local.y_p) != values[2 * k]
         out.append(
             CheckResult(
                 "spectral",
                 "G_k(p^11, tau(p)^2) = tau(p^{2k}), p <= 20, k <= 8",
                 bad == 0,
-                f"{bad} mismatches",
+                f"{bad} mismatches over {compared} values",
             )
         )
 
         worst = 0.0
+        roots = 0
         for k in range(1, 51):
-            digits = max(50, 4 * k)
             poly = even_index_poly(k)
             norm1 = sum(abs(c) for c in poly.coeffs)
-            rs = root_set(k, digits)
+            rs = root_set(k)
+            digits = rs.precision_digits
             # Guard digits so Horner rounding stays subordinate to the
             # digits-digit accuracy of the roots themselves.
             with mpmath.workdps(2 * digits + 20):
                 tol = mpmath.mpf(10) ** (-(digits - 10)) * norm1
                 for alpha in rs.alphas:
-                    resid = abs(eval_dehomogenized(poly, alpha))
-                    worst = max(worst, float(resid / tol))
+                    roots += 1
+                    worst = max(worst, float(abs(eval_dehomogenized(poly, alpha)) / tol))
         out.append(
             CheckResult(
                 "spectral",
                 "trig roots annihilate G_k(1, y), k <= 50",
                 worst < 1.0,
-                f"worst residual at {worst:.3g} of tolerance",
+                f"worst residual at {worst:.3g} of tolerance over {roots} roots",
             )
         )
 
-        gap_ok = True
-        for k in range(3, 201):
-            if not min_gap(k) > (mpmath.pi / (2 * k + 1)) ** 2:
-                gap_ok = False
-                break
+        gaps = [(k, digits) for k in range(3, 201) for digits in (None, 50)]
+        low = [(k, d) for k, d in gaps if not min_gap(k, d) > (mpmath.pi / (2 * k + 1)) ** 2]
         out.append(
             CheckResult(
                 "spectral",
                 "root separation beats (pi/(2k+1))^2, 3 <= k <= 200",
-                gap_ok,
-                "adjacent-gap lower bound holds" if gap_ok else f"fails at k={k}",
+                not low,
+                (f"fails at (k, digits) {low[:3]}" if low else "adjacent-gap lower bound holds")
+                + f" over {len(gaps)} gaps",
             )
         )
 
-        worst_rel = 0.0
-        for p in primes_up_to(13):
-            local = PrimeLocalData(p, table[p])
-            values = tau_prime_powers(local, 19)
-            for n in range(2, 21):
-                mags = cyclotomic_factor_magnitudes(local, n, 60)
-                with mpmath.workdps(60):
+        worst_rel = mpmath.mpf(0)
+        compared = 0
+        with mpmath.workdps(80):
+            for p in primes_up_to(13):
+                local = PrimeLocalData(p, table[p])
+                values = _two_term_powers(p, local.tau_p, 19)
+                for n in range(2, 21):
                     prod = mpmath.mpf(1)
-                    for _, m in mags:
+                    for _, m in cyclotomic_factor_magnitudes(local, n, 60):
                         prod *= m
                     exact = abs(values[n - 1])
-                    if exact:
-                        worst_rel = max(worst_rel, float(abs(prod - exact) / exact))
+                    compared += 1
+                    worst_rel = max(worst_rel, abs(prod - exact) / exact if exact else mpmath.inf)
         out.append(
             CheckResult(
                 "spectral",
                 "cyclotomic magnitudes rebuild |tau(p^{n-1})|, p <= 13, n <= 20",
                 worst_rel < 1e-9,
-                f"worst relative error {worst_rel:.3g}",
+                f"worst relative error {mpmath.nstr(worst_rel, 3)} over {compared} values",
             )
         )
 
-        growth_ok = True
-        resid_worst = 0.0
+        growth = []
+        residuals = []
         for p in primes_up_to(50):
-            local = PrimeLocalData(p, self.table(50)[p])
-            if not all(flag for _, flag in growth_check(local, 60)):
-                growth_ok = False
-            for k in range(1, 31):
-                resid_worst = max(resid_worst, closed_form_residual(local, k, 60))
+            local = PrimeLocalData(p, table[p])
+            growth.extend(flag for _, flag in growth_check(local, 60))
+            residuals.extend(closed_form_residual(local, k, 60) for k in range(1, 31))
+        resid_worst = max(residuals, default=math.inf)
         out.append(
             CheckResult(
                 "spectral",
                 "|tau(p^k)| > 2^k and closed form matches, p <= 50",
-                growth_ok and resid_worst < 1e-20,
-                f"worst closed-form residual {resid_worst:.3g}",
+                all(growth) and resid_worst < 1e-20,
+                f"{growth.count(False)} growth violations over {len(growth)} comparisons, "
+                f"worst closed-form residual {resid_worst:.3g} over {len(residuals)} values",
             )
         )
 
         triggered = []
+        pairs = 0
         for p in primes_up_to(50):
-            local = PrimeLocalData(p, self.table(50)[p])
+            local = PrimeLocalData(p, table[p])
             for k in range(1, 31):
-                q = approximation_quality(local, k)
-                if q.triggered:
+                pairs += 1
+                if approximation_quality(local, k).triggered:
                     triggered.append((p, k))
         out.append(
             CheckResult(
                 "spectral",
                 "no tau ratio approaches a root within 1/(64 h^{5/2})",
                 not triggered,
-                f"triggered at {triggered}" if triggered else "threshold never crossed",
+                (f"triggered at {triggered}" if triggered else "threshold never crossed")
+                + f" over {pairs} pairs",
             )
         )
         return out
@@ -353,6 +371,7 @@ class Verifier:
         out = []
         table = self.table(2000)
         hits = search_prime_tau(2000, 6, 10**40, table=table)
+        primes = [h for h in hits if h.verdict is Verdict.PROBABLE_PRIME]
         lehmer = [h for h in hits if h.p == 251 and h.k == 1]
         ok = (
             len(lehmer) == 1
@@ -365,13 +384,25 @@ class Verifier:
                 "search",
                 "grid p <= 2000, k <= 6, cap 10^40 finds the Lehmer hit",
                 ok,
-                f"{len(hits)} hits, {sum(1 for h in hits if h.verdict is Verdict.PROBABLE_PRIME)} probable primes",
+                f"{len(hits)} hits, {len(primes)} probable primes at (p, k) = {[(h.p, h.k) for h in primes]}",
             )
         )
 
+        # Every prime hit, p = 23 included: odd, an allowed residue, and for
+        # k <= 2 outside the excluded classes.
+        excluded = excluded_b_set()
+        inadmissible = [
+            (h.p, h.k)
+            for h in primes
+            if h.value % 2 == 0
+            or h.residue23 not in allowed_residues_for_prime_value(h.k)
+            or (h.k <= 2 and h.residue23 in excluded)
+        ]
         census = census_by_residue(hits, 10**40)
         ok = (
-            census.counts[1] >= 1
+            bool(primes)
+            and not inadmissible
+            and census.counts[1] >= 1
             and all(h.k >= 3 for h in census.excluded_class_hits)
             and not census.footnote_anomalies
         )
@@ -380,6 +411,7 @@ class Verifier:
                 "search",
                 "census residues admissible, excluded classes need k >= 3",
                 ok,
+                f"{len(inadmissible)} inadmissible of {len(primes)} probable primes, "
                 f"counts {dict((r, c) for r, c in census.counts.items() if c)}",
             )
         )
@@ -392,7 +424,7 @@ class Verifier:
                 "search",
                 "tau(4) and tau(9) surface as composite hits",
                 ok,
-                f"{vals}",
+                ", ".join(f"tau({p}^{2 * k}) = {v} {verdict.value}" for (p, k), (v, verdict) in vals.items()),
             )
         )
         return out
@@ -403,10 +435,16 @@ class Verifier:
         out = []
         checks = []
         with mpmath.workdps(100):
+
+            def agree(value, alt):
+                return abs(value - alt) / alt < mpmath.mpf(10) ** -29
+
             _, k_hi = bnd.admissible_k_range(64, 100)
             checks.append(abs(k_hi - 3) < mpmath.mpf(10) ** -90)
-            for k in (3, 10, 1000):
-                v = bnd.bvdp_count_bound(k, 50)
+            for n in (10**6, 10**9, 10**12):
+                k_lo, k_hi = bnd.admissible_k_range(n)
+                checks.append(k_lo == 3 and agree(k_hi, mpmath.log(n, 2) / 2))
+            for k in [*range(3, 41), 1000]:
                 k_ = mpmath.mpf(k)
                 alt = mpmath.fsum(
                     [
@@ -414,15 +452,18 @@ class Verifier:
                         96000 * mpmath.log(k_) ** 2 * (mpmath.log(200) + mpmath.log(mpmath.log(k_))),
                     ]
                 )
-                checks.append(abs(v - alt) / alt < mpmath.mpf(10) ** -29)
-            for n in (10**6, 10**12):
-                n_ = mpmath.mpf(n)
-                a = bnd.attainable_prime_ceiling(n, 50)
-                alt = mpmath.exp(mpmath.mpf(9) / 10 * mpmath.log(n_)) * mpmath.log(n_) / mpmath.log(4)
-                checks.append(abs(a - alt) / alt < mpmath.mpf(10) ** -29)
-            b7 = bnd.progression_decade_floor(7, 50)
-            alt = 7 * mpmath.mpf(10**7) / (11 * mpmath.log(10) * 8)
-            checks.append(abs(b7 - alt) / alt < mpmath.mpf(10) ** -29)
+                checks.append(agree(bnd.bvdp_count_bound(k, 50), alt))
+            for n in (10**6, 10**9, 10**12):
+                ln_n = mpmath.log(n)
+                alt = mpmath.exp(mpmath.mpf(9) / 10 * ln_n) * ln_n / mpmath.log(4)
+                checks.append(agree(bnd.attainable_prime_ceiling(n, 50), alt))
+            for m in range(1, 13):
+                alt = 7 * mpmath.mpf(10) ** m / (11 * mpmath.log(10) * (m + 1))
+                checks.append(agree(bnd.progression_decade_floor(m, 50), alt))
+            lower, upper = bnd.pi_bracket(10**6)
+            center = mpmath.mpf(10**6) / (11 * mpmath.log(10**6))
+            checks.append(agree(lower, mpmath.mpf("0.9") * center))
+            checks.append(agree(upper, mpmath.mpf("1.1") * center))
         out.append(
             CheckResult(
                 "bounds",
@@ -443,16 +484,20 @@ class Verifier:
             )
         neg_ok = all(bnd.decade_margin(m) < 0 for m in range(6, 13))
         crossover = bnd.positivity_crossover(200)
+        # The crossover is a sign change, not only the start of a positive run.
+        sign_ok = (
+            crossover is not None
+            and bnd.decade_margin(crossover) > 0 >= bnd.decade_margin(crossover - 1)
+        )
         out.append(
             CheckResult(
                 "bounds",
                 "decade growth law, early deficit, and positivity crossover",
-                ratio_ok and neg_ok and crossover is not None,
+                ratio_ok and neg_ok and sign_ok,
                 f"floor/ceiling margin turns positive at M = {crossover}",
             )
         )
 
-        lower, upper = bnd.pi_bracket(10**6)
         count = _signed_class_count(10**6, 2)
         out.append(
             CheckResult(
@@ -480,11 +525,12 @@ class Verifier:
 
 def _hecke_consistency(table: TauTable) -> tuple[bool, str]:
     limit = table.limit
-    bad = 0
+    bad = powers = 0
     for p in primes_up_to(limit):
         local = PrimeLocalData(p, table[p])
         m = 2
         while p**m <= limit:
+            powers += 1
             if table[p**m] != local.tau_p * table[p ** (m - 1)] - local.x_p * table[p ** (m - 2)]:
                 bad += 1
             m += 1
@@ -495,23 +541,15 @@ def _hecke_consistency(table: TauTable) -> tuple[bool, str]:
                 pairs += 1
                 if table[m * n] != table[m] * table[n]:
                     bad += 1
-    return bad == 0, f"{bad} violations over prime powers and {pairs} coprime pairs"
+    return bad == 0, f"{bad} violations over {powers} prime powers and {pairs} coprime pairs"
 
 
-def _pattern_check() -> bool:
-    from .congruence import Class23
-
-    nr = Class23(Class23Tag.NON_RESIDUE)
-    sp = Class23(Class23Tag.SPLIT_NON_PRINCIPAL)
-    pr = Class23(Class23Tag.PRINCIPAL_FORM, (6, 1))
-    for k in range(1001):
-        if tau_mod23(nr, k) != (1 if k % 2 == 0 else 0):
-            return False
-        if tau_mod23(sp, k) != (1, 22, 0)[k % 3]:
-            return False
-        if tau_mod23(pr, k) != (k + 1) % 23:
-            return False
-    return True
+def _two_term_powers(p: int, tau_p: int, max_exponent: int) -> list[int]:
+    """[tau(p^0), ..., tau(p^max_exponent)] by its own two-term step, apart from hecke_terms."""
+    values = [1, tau_p]
+    while len(values) <= max_exponent:
+        values.append(tau_p * values[-1] - p**11 * values[-2])
+    return values[: max_exponent + 1]
 
 
 def _signed_class_count(x: int, b: int) -> int:

@@ -17,7 +17,6 @@ from tauprimes.bounds import (
     positivity_crossover,
     progression_decade_floor,
 )
-from tauprimes.primality import primes_up_to
 
 
 def test_k_range_exact_at_64():
@@ -103,13 +102,6 @@ def test_pi_bracket_shape():
         assert abs(upper - mpmath.mpf(11) / 10 * center) / center < mpmath.mpf(10) ** -29
     with pytest.raises(ValueError):
         pi_bracket(1)
-
-
-def test_pi_bracket_sieve_census():
-    # count signed primes in the class of 2 mod 23 (p = 2 or p = -2 = 21)
-    count = sum(1 for p in primes_up_to(10**6) if p % 23 in (2, 21))
-    lower, upper = pi_bracket(10**6)
-    assert lower < count < upper
 
 
 def test_density_fraction():

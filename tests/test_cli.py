@@ -167,6 +167,8 @@ def test_poly_roots(capsys):
     assert lines[0] == "y^2 - 3*x*y + x^2"
     assert lines[1].startswith("alpha[1] = 2.618033988749894848204586834")
     assert lines[2].startswith("alpha[2] = 0.381966011250105151795413165")
+    code, _, err = run(capsys, "poly", "--k", "2", "--roots", "--digits", "0")
+    assert code == 1 and "precision_digits must be >= 20" in err
 
 
 def test_search_json_and_determinism(capsys):
@@ -254,14 +256,19 @@ def test_verify_corrupt_cache(capsys, tmp_path):
     assert "checks passed" not in out
 
 
-def test_verifier_ignores_env_cache(tmp_path, monkeypatch):
-    # A parseable cache with a wrong tau(2): verify checks it only when named.
+def test_verifier_ignores_env_cache(capsys, tmp_path, monkeypatch):
+    # A parseable cache with a wrong tau(2): verify checks it only when named,
+    # and then fails.  It covers the 10^4 records the congruence suite reads;
+    # a shorter cache would be passed over for delta_series.
     path = tmp_path / "taucache.txt"
-    wrong = TauTable((1, -25) + delta_series(300).coeffs[2:])
+    wrong = TauTable((1, -25) + delta_series(10_000).coeffs[2:])
     write_cache(wrong, path)
     monkeypatch.setenv("TAUPRIMES_CACHE_DIR", str(tmp_path))
     assert Verifier().table(300) == delta_series(300)
-    assert Verifier(path).table(300) == wrong
+    assert Verifier(path).table(300) == wrong.truncated(300)
+    code, out, _ = run(capsys, "verify", "--suite", "congruence", "--cache", str(path))
+    assert code == 1
+    assert "[FAIL] congruence: class determines tau(p) mod 23" in out
 
 
 def test_commands_read_env_cache(capsys, tmp_path, monkeypatch):
