@@ -63,10 +63,14 @@ def bvdp_count_bound(k: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
     if k < 3:
         raise ValueError("k must be >= 3")
     with mpmath.workdps(dps):
-        k_ = mpmath.mpf(k)
-        return 4 * mpmath.log((k_ + 1) * mpmath.log(4)) + 96000 * mpmath.log(k_) ** 2 * mpmath.log(
-            200 * mpmath.log(k_)
-        )
+        return _bvdp_bound(k, mpmath.log(4))
+
+
+def _bvdp_bound(k: int, log4: mpmath.mpf) -> mpmath.mpf:
+    """bvdp_count_bound at the current working precision, given log 4."""
+    k_ = mpmath.mpf(k)
+    log_k = mpmath.log(k_)
+    return 4 * mpmath.log((k_ + 1) * log4) + 96000 * log_k**2 * mpmath.log(200 * log_k)
 
 
 def attainable_prime_ceiling(n: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
@@ -150,7 +154,8 @@ def bound_report(n: int, dps: int = DEFAULT_DPS) -> BoundReport:
     """All bounds evaluated at ceiling N in one struct."""
     k_lo, k_hi = admissible_k_range(n, dps)
     with mpmath.workdps(dps):
-        per_k = {k: bvdp_count_bound(k, dps) for k in range(k_lo, int(mpmath.ceil(k_hi)))}
+        log4 = mpmath.log(4)
+        per_k = {k: _bvdp_bound(k, log4) for k in range(k_lo, int(mpmath.ceil(k_hi)))}
         m = mpmath.log10(mpmath.mpf(n)) - 1
         floor = progression_decade_floor(m, dps) if m >= 1 else mpmath.mpf("nan")
         n_ = mpmath.mpf(n)

@@ -116,13 +116,18 @@ def eval_dehomogenized(poly: EvenIndexPoly, y):
     return total
 
 
+def _alpha(j: int, k: int) -> mpmath.mpf:
+    """alpha_{j,k} = 4 cos^2(pi j/(2k+1)) at the current working precision."""
+    return 4 * mpmath.cos(mpmath.pi * j / (2 * k + 1)) ** 2
+
+
 def root_set(k: int, precision_digits: int | None = None) -> RootSet:
     """alpha_{j,k} = 4 cos^2(pi j/(2k+1)), j = 1..k, strictly decreasing."""
     if k < 1:
         raise ValueError("k must be >= 1")
     digits = _working_digits(k, precision_digits)
     with mpmath.workdps(digits):
-        alphas = tuple(4 * mpmath.cos(mpmath.pi * j / (2 * k + 1)) ** 2 for j in range(1, k + 1))
+        alphas = tuple(_alpha(j, k) for j in range(1, k + 1))
     return RootSet(k, alphas, digits)
 
 
@@ -203,16 +208,29 @@ def approximation_quality(
     distance, and the height-based threshold 1 / (64 h^{5/2}); triggered
     means the distance dips below the threshold, which would contradict
     the count bounds if it happened often.
+
+    alpha(t) = 4 cos^2(pi t/(2k+1)) falls strictly on [0, k + 1/2] and takes
+    the ratio r at j_c = (2k+1)/pi * acos(sqrt(r)/2), with sqrt(r)/2 clamped
+    to 1 when r >= 4 (tau(p) past Deligne's bound).  Every alpha_j with
+    j <= floor(j_c) is >= r and every later one is <= r, so the nearest root
+    is alpha at floor(j_c) or floor(j_c) + 1, taken within 1..k.  Only the
+    window floor(j_c) - 1 .. floor(j_c) + 2 is evaluated; its extra index on
+    each side absorbs rounding in acos, and roots outside it are further from
+    r by at least the least root gap.  Each alpha_j is the same number
+    root_set gives, so j* (ties to the smaller j), the distance and the
+    threshold are those of a scan over the whole root set.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     digits = _working_digits(k, precision_digits)
     approx = reduce_ratio(local.y_p, local.x_p)
-    rs = root_set(k, digits)
     with mpmath.workdps(digits):
         ratio = mpmath.mpf(approx.numerator) / approx.denominator
-        distances = [abs(a - ratio) for a in rs.alphas]
-        j_star = min(range(k), key=distances.__getitem__)
+        j_c = (2 * k + 1) / mpmath.pi * mpmath.acos(min(mpmath.sqrt(ratio) / 2, 1))
+        floor = int(mpmath.floor(j_c))
+        window = range(max(1, floor - 1), min(k, floor + 2) + 1)
+        distances = {j: abs(_alpha(j, k) - ratio) for j in window}
+        j_star = min(distances, key=distances.__getitem__)
         distance = distances[j_star]
         threshold = 1 / (64 * mpmath.power(approx.height, mpmath.mpf(5) / 2))
-        return ApproximationQuality(j_star + 1, distance, threshold, bool(distance < threshold))
+        return ApproximationQuality(j_star, distance, threshold, bool(distance < threshold))

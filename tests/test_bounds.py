@@ -134,6 +134,16 @@ def test_decade_margin_and_crossover():
         assert decade_margin(m) > 0
 
 
+def test_bound_report_per_k_matches_bvdp_count_bound():
+    for n in (10**8, 10**300):
+        for dps in (30, 50):
+            report = bound_report(n, dps)
+            window = range(report.k_lo, int(mpmath.ceil(report.k_hi)))
+            assert list(report.per_k_bound) == list(window)
+            for k in window:
+                assert report.per_k_bound[k] == bvdp_count_bound(k, dps), (n, dps, k)
+
+
 def test_bound_report_fields():
     report = bound_report(10**8)
     assert report.k_lo == 3

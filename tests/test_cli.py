@@ -1,16 +1,29 @@
 """CLI behavior: command surface, exit codes, report determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tauprimes
 from tauprimes.cache import write_cache
 from tauprimes.cli import main, parse_big_int
 from tauprimes.series import TauTable, delta_series
 from tauprimes.verify import Verifier
 
 LEHMER = "-80561663527802406257321747"
+
+# SHA-256 of report bytes ("generated_utc" line removed, as strip_timestamp
+# does), recorded before the nearest-root and per-k bound code was reworked.
+OUTPUT_DIGESTS = {
+    ("bounds", "--N", "1e8"): "64f3d45d929812b3d4776bfbe311747603ea27e95c3997c485b99bf25dcc7da3",
+    ("bounds", "--N", "1e1000"): "e83c38049625072b6041ecfd9dadce0d4abfb35115362efdca1fbdfac73c547f",
+    ("poly", "--k", "300", "--roots"): "8ba972cd881c9e107f312acda6c1506840a33534eef63584435f1d06e59abd89",
+}
 
 
 def run(capsys, *argv):
@@ -218,6 +231,14 @@ def test_bounds_report(capsys):
     assert list(doc["payload"]["per_k_bound"]) == [str(k) for k in range(3, 14)]
 
 
+def test_output_digests(capsys):
+    for argv, digest in OUTPUT_DIGESTS.items():
+        code, out, _ = run(capsys, *argv)
+        if argv[0] == "bounds":
+            out = strip_timestamp(out)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_census_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "search", "--pmax", "300", "--kmax", "1", "--vmax", "1e27")
     hits_file = tmp_path / "hits.json"
@@ -302,3 +323,12 @@ def test_usage_errors(capsys):
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and out.strip().startswith("tauprimes")
+
+
+def test_python_dash_m():
+    src = str(Path(tauprimes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tauprimes", "tau", "1"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")

@@ -186,3 +186,35 @@ def test_approximation_quality_p2_k1(table10k):
         expected_threshold = 1 / (64 * mpmath.power(32, mpmath.mpf(5) / 2))
         assert abs(q.threshold - expected_threshold) < mpmath.mpf(10) ** -45
     assert q.triggered is False
+
+
+def root_scan(local, rs):
+    """Reference: argmin over the whole root set, ties to the smaller j."""
+    approx = reduce_ratio(local.y_p, local.x_p)
+    with mpmath.workdps(rs.precision_digits):
+        ratio = mpmath.mpf(approx.numerator) / approx.denominator
+        distances = [abs(a - ratio) for a in rs.alphas]
+        j = min(range(rs.k), key=distances.__getitem__)
+        threshold = 1 / (64 * mpmath.power(approx.height, mpmath.mpf(5) / 2))
+        return j + 1, distances[j], threshold, bool(distances[j] < threshold)
+
+
+def test_approximation_quality_matches_root_scan(table2k):
+    small = [PrimeLocalData(p, table2k[p]) for p in sympy.primerange(2, 51)]
+    large = [PrimeLocalData(p, table2k[p]) for p in (2, 251, 1999)]
+    for k, locals_ in [*((k, small) for k in range(1, 41)), (100, large), (300, large)]:
+        for digits in (None, 20, 60, 200):
+            rs = root_set(k, digits)
+            for local in locals_:
+                got = tuple(approximation_quality(local, k, digits))
+                assert got == root_scan(local, rs), (local.p, k, digits)
+
+
+def test_approximation_quality_outside_deligne():
+    # tau(p)^2 >= 4 p^11 puts the ratio above every root (acos would leave the
+    # reals); tau(p) = 0 puts it below every root.
+    for tau_p, k, want in ((10**6, 5, 1), (-(10**6), 40, 1), (2 * 2**11, 3, 1), (0, 5, 5), (0, 1, 1)):
+        local = PrimeLocalData(2, tau_p)
+        q = approximation_quality(local, k)
+        assert q.j_star == want, (tau_p, k)
+        assert tuple(q) == root_scan(local, root_set(k)), (tau_p, k)
