@@ -61,7 +61,11 @@ def dump_cache(table: TauTable, stream: TextIO) -> None:
 def write_cache(table: TauTable, path: str | Path) -> None:
     """Write the table atomically in the TAUCACHE 1 format."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    except OSError as exc:
+        # Name the requested path, not the random temp name mkstemp tried.
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
             dump_cache(table, fh)

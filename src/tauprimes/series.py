@@ -6,19 +6,21 @@ triangular numbers,
     prod_{n>=1} (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2},
 
 so the 24th power is the 8th power of that series.  The cube is packed
-once into a single base-10^w Decimal (Kronecker substitution) and squared
-three times; libmpdec multiplies large operands with a number-theoretic
-transform, so the whole table costs three big multiplications.  Each
-square is reduced mod 10^(n*w) by slicing its digit string, and the
-signed coefficients are read back by offsetting every limb by half the
-base.
+into a single base-10^w Decimal (Kronecker substitution) and squared
+twice, giving cube^4; its coefficients are read back and packed again at
+the width their square needs, and squared once more.  libmpdec multiplies
+large operands with a number-theoretic transform, so the whole table costs
+three big multiplications, each on limbs sized from a proven bound for
+its own stage.  Each square is reduced mod 10^(n*w) by slicing its digit
+string, and the signed coefficients are read back by offsetting every limb
+by half the base.
 """
 
 from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError
 
@@ -74,8 +76,31 @@ def _cube_terms(limit: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
+def _power(terms: Iterable[tuple[int, int]], n: int, w: int, squarings: int) -> list[int]:
+    """Coefficients below degree n of (sum c q^e)^(2^squarings), exact when
+    every input and output coefficient is below half = 5*10^(w-1) in size."""
+    digits = n * w
+    pos = ["0" * w] * n
+    neg = ["0" * w] * n
+    for e, c in terms:
+        (pos if c > 0 else neg)[n - 1 - e] = str(abs(c)).zfill(w)
+    # Exact arithmetic only: any rounding raises Inexact instead of passing.
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    x = ctx.subtract(decimal.Decimal("".join(pos)), decimal.Decimal("".join(neg)))
+    del pos, neg  # n limb strings, not needed while squaring
+    for _ in range(squarings):
+        # mod 10^digits by slicing the digit string (Decimal % is slow)
+        x = decimal.Decimal(str(ctx.multiply(x, x))[-digits:])
+    # x = sum d_i 10^(i*w) mod 10^digits with |d_i| < half; adding half to
+    # every limb makes each one a plain w-digit chunk d_i + half.
+    half = 5 * 10 ** (w - 1)
+    s = str(ctx.add(x, decimal.Decimal(str(half) * n)))[-digits:]
+    return [int(s[a - w : a]) - half for a in range(digits, 0, -w)]
+
+
 def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTable:
-    """tau(1..limit) via three squarings of the packed cube series.
+    """tau(1..limit) by squaring the packed cube series twice at limbs sized
+    for cube^4, then cube^4 once more at limbs sized for its square.
 
     Refuses limits above `ceiling` instead of attempting an unbounded
     allocation; raise the ceiling explicitly for larger runs.
@@ -84,26 +109,18 @@ def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTabl
         raise ValueError("limit must be >= 1")
     if limit > ceiling:
         raise BudgetExceededError(
-            f"series limit {limit} exceeds the ceiling {ceiling}; "
-            "pass a larger ceiling= explicitly to allow this"
+            f"series limit {limit} exceeds the ceiling of {ceiling} terms; the "
+            f"tauprimes command caps series at {DEFAULT_LIMIT_CEILING} terms, and "
+            "Python callers may pass delta_series(..., ceiling=) to allow more"
         )
     # Delta = q * cube^8, so tau(n) is the cube^8 coefficient at degree n-1.
     terms = _cube_terms(limit - 1)
-    # Every cube^8 coefficient below degree `limit` is at most W^8 in size,
-    # W the sum of |c|; limbs of w digits hold it once offset by half.
-    w = len(str(2 * sum(abs(c) for _, c in terms) ** 8))
-    half = 5 * 10 ** (w - 1)
-    digits = limit * w
-    pos = ["0" * w] * limit
-    neg = ["0" * w] * limit
-    for e, c in terms:
-        (pos if c > 0 else neg)[limit - 1 - e] = str(abs(c)).zfill(w)
-    # Exact arithmetic only: any rounding raises Inexact instead of passing.
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-    x = ctx.subtract(decimal.Decimal("".join(pos)), decimal.Decimal("".join(neg)))
-    for _ in range(3):
-        x = decimal.Decimal(str(ctx.multiply(x, x))[-digits:])
-    # x = sum d_i 10^(i*w) mod 10^digits with |d_i| < half; adding half to
-    # every limb makes each one a plain w-digit chunk d_i + half.
-    s = str(ctx.add(x, decimal.Decimal(str(half) * limit)))[-digits:]
-    return TauTable(tuple(int(s[a - w : a]) - half for a in range(digits, 0, -w)))
+    # Every cube^4 coefficient g_i below degree `limit` is at most W^4 in
+    # size, W the sum of |c|; the cube's own |c| <= W are smaller still.
+    g = _power(terms, limit, len(str(2 * sum(abs(c) for _, c in terms) ** 4)), 2)
+    # Cauchy-Schwarz: |sum_{i+j=m} g_i g_j| <= sum g_i^2 for every m < limit,
+    # and the same sum bounds every |g_i| <= g_i^2, so g packs at w too.
+    w = len(str(2 * sum(c * c for c in g)))
+    terms = enumerate(g)
+    del g  # the exhausted iterator frees cube^4 before the last squaring
+    return TauTable(tuple(_power(terms, limit, w, 1)))

@@ -6,7 +6,8 @@ from tauprimes.series import delta_series
 
 @pytest.fixture(scope="session")
 def table100k():
-    # ~1 s once per session; everything below 10^5 truncates from this.
+    # ~1 s once per session (22/31-digit limbs); everything below 10^5
+    # truncates from this.
     return delta_series(100_000)
 
 

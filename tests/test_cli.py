@@ -66,6 +66,14 @@ def test_series_out_writes_cache(capsys, tmp_path):
     assert code == 0 and out.encode("ascii") == target.read_bytes()
 
 
+def test_series_out_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "t.cache"
+    code, _, err = run(capsys, "series", "--limit", "3", "--out", str(target))
+    # The message names the requested path, not mkstemp's "t.cache*.tmp".
+    assert code == 1 and f"'{target}'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_series_over_budget(capsys):
     code, _, err = run(capsys, "series", "--limit", "10000000")
     assert code == 1 and "ceiling" in err

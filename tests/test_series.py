@@ -4,6 +4,8 @@ import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauprimes.cache import dump_cache
 from tauprimes.errors import BudgetExceededError
@@ -11,6 +13,15 @@ from tauprimes.series import TauTable, _cube_terms, delta_series
 from tauprimes.verify import brute_force_delta
 
 EXPANSION_HEAD = [1, -24, 252, -1472, 4830]
+
+# Every n <= 2000 where a limb width of delta_series(n) grows: w4 = digits of
+# 2*W^4 (W the sum of |c| over the cube terms below degree n) or w8 = digits
+# of 2*sum g_i^2 (g the cube^4 coefficients below degree n).  At n - 1 the
+# narrower width is closest to its bound.
+WIDTH_STEPS = (
+    2, 3, 4, 6, 7, 8, 12, 16, 22, 35, 46, 50, 69, 79, 106, 137, 153,
+    226, 232, 337, 407, 477, 710, 742, 1066, 1327, 1540,
+)
 
 # SHA-256 of the TAUCACHE bytes of tau(1..limit), recorded from the earlier
 # eight-multiplication engine; 2000 and 63001 equal perfbench's CACHE_DIGESTS.
@@ -56,9 +67,18 @@ def test_jacobi_cube_term_shape():
 
 
 def test_delta_series_matches_brute_force():
-    # 1..64 crosses every change of limb width up to 17 digits.
-    for n in [*range(1, 65), 500]:
-        assert list(delta_series(n).coeffs) == brute_force_delta(n), n
+    sizes = {*range(1, 65), 500, *WIDTH_STEPS, *(n - 1 for n in WIDTH_STEPS)}
+    oracle = brute_force_delta(max(sizes))
+    for n in sorted(sizes):
+        assert list(delta_series(n).coeffs) == oracle[:n], n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4999), st.integers(1, 4999))
+def test_truncation_matches_shorter_series(n, gap):
+    # Each limit gets its own limb widths, so this compares two packings.
+    m = min(n + gap, 5000)
+    assert delta_series(m).truncated(n) == delta_series(n)
 
 
 def test_taucache_digests(table100k):
