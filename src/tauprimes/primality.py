@@ -2,7 +2,8 @@
 
 is_probable_prime decides |n|:
 
- 1. trial division by every prime below 1024 (conclusive for |n| < 1024^2);
+ 1. below 1024 by table lookup; above, one gcd with the product of the
+    primes below 1024 (has_small_factor), conclusive for |n| < 1024^2;
  2. for |n| < 2^64, strong tests to the fixed 12-prime base set, which is
     known to be deterministic in that range;
  3. otherwise a Baillie-PSW-style combination: strong base-2 test, perfect
@@ -10,14 +11,16 @@ is_probable_prime decides |n|:
     choice (first D in 5, -7, 9, -11, ... with Jacobi(D, n) = -1, P = 1,
     Q = (1 - D)/4).
 
-No randomness anywhere, so verdicts are reproducible run to run.
-extra_rounds adds strong tests to the first few odd-prime bases on top of
-the Baillie-PSW pass for callers who want belt and braces.
+passes_strong_tests is steps 2 and 3 alone, for callers that screen with
+has_small_factor and a sieve of their own first.  No randomness anywhere,
+so verdicts are reproducible run to run.  extra_rounds adds strong tests
+to the first few odd-prime bases on top of the Baillie-PSW pass for
+callers who want belt and braces.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -32,7 +35,8 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-_SMALL_PRIMES = tuple(primes_up_to(1023))
+_SMALL_PRIMES = frozenset(primes_up_to(1023))
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 _SMALL_LIMIT_SQ = 1024 * 1024
 _BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _EXTRA_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -113,13 +117,18 @@ def _strong_lucas(n: int) -> bool:
 def is_probable_prime(n: int, *, extra_rounds: int = 0) -> bool:
     """True when |n| is prime (or an unrecorded Baillie-PSW pseudoprime)."""
     n = abs(n)
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n < 1024:
+        return n in _SMALL_PRIMES
+    return not has_small_factor(n) and passes_strong_tests(n, extra_rounds=extra_rounds)
+
+
+def has_small_factor(n: int) -> bool:
+    """True when n has a prime factor below 1024."""
+    return gcd(n, _SMALL_PRODUCT) != 1
+
+
+def passes_strong_tests(n: int, *, extra_rounds: int = 0) -> bool:
+    """is_probable_prime(n) for n >= 1024 with no prime factor below 1024."""
     if n < _SMALL_LIMIT_SQ:
         return True
     if n < 2**64:
@@ -131,8 +140,6 @@ def is_probable_prime(n: int, *, extra_rounds: int = 0) -> bool:
     if not _strong_lucas(n):
         return False
     for base in _EXTRA_BASES[: max(0, extra_rounds)]:
-        if gcd(base, n) != 1:
-            return False
         if not _strong_probable_prime(n, base):
             return False
     return True

@@ -5,14 +5,31 @@ so the grid runs over primes p and k = 1..k_max, stopping a p-row a few
 steps after |tau(p^{2k})| exactly exceeds the cap.  Every probable-prime
 hit is checked against the residue classes allowed mod 23; a violation
 would falsify the congruence analysis and aborts loudly.
+
+tau(p^{2k}) is the Lucas term u_n, n = 2k + 1, of P = tau(p), Q = p^11,
+and an odd value is screened in this order:
+
+ 1. below 2^64, is_probable_prime decides it outright;
+ 2. one gcd with the product of the primes below 1024 (has_small_factor);
+ 3. the index sieve (index_divisor).  For composite n, u_d divides u_n,
+    with d the least prime factor of n, and the row holds u_d already.
+    For prime n, every odd prime factor of u_n is n or is +-1 (mod n)
+    when p does not divide tau(p) (Carmichael 1913), so one gcd with the
+    product of the first 800 primes q > 1023, q = +-1 (mod n), tries them;
+ 4. Baillie-PSW (passes_strong_tests).
+
+Every kill in steps 2 and 3 is a proper divisor of the value, so no
+verdict rests on the law; the law only picks which q to try.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt, prod
+from typing import Sequence
 
 from .congruence import (
     Class23,
@@ -22,12 +39,15 @@ from .congruence import (
     excluded_b_set,
 )
 from .hecke import PrimeLocalData, hecke_terms
-from .primality import is_probable_prime, primes_up_to
+from .primality import has_small_factor, is_probable_prime, passes_strong_tests, primes_up_to
 from .series import TauTable, delta_series
 
 # After the first exact cap crossing, examine this many further k before
 # abandoning the row; |tau| is checked exactly, never assumed monotone.
 _OVERSHOOT_GRACE = 3
+
+# Primes q = +-1 (mod n) in the index sieve's product for prime n.
+_SIEVE_DEPTH = 800
 
 _SAMPLE_NOTE = (
     "lower-bound sample over the searched (p, k) grid; "
@@ -69,16 +89,47 @@ class CensusReport:
         return sum(self.counts.values())
 
 
-def _verdict_for(value: int, extra_rounds: int) -> Verdict:
+@cache
+def _sieve_product(n: int) -> int:
+    """The product of the first _SIEVE_DEPTH primes q > 1023 with q = +-1 (mod n)."""
+    primes = []
+    j = 1
+    while len(primes) < _SIEVE_DEPTH:
+        primes += [q for q in (2 * j * n - 1, 2 * j * n + 1) if q > 1023 and is_probable_prime(q)]
+        j += 1
+    return prod(primes[:_SIEVE_DEPTH])
+
+
+def index_divisor(row: Sequence[int]) -> int:
+    """A proper divisor of |row[-1]| found by the index sieve, or 1.
+
+    row is [tau(p^0), tau(p^2), ..., tau(p^{2k})] of one prime p, that is
+    the Lucas terms u_1, u_3, ..., u_n, n = 2k + 1, of P = tau(p), Q = p^11.
+    """
+    k = len(row) - 1
+    n = 2 * k + 1
+    value = abs(row[k])
+    d = next((d for d in range(3, isqrt(n) + 1, 2) if n % d == 0), n)
+    if d < n:
+        divisor = abs(row[(d - 1) // 2])
+        return divisor if 1 < divisor < value and value % divisor == 0 else 1
+    divisor = gcd(value, _sieve_product(n))
+    return divisor if divisor < value else 1
+
+
+def _verdict_for(row: list[int]) -> Verdict:
+    value = abs(row[-1])
     if value == 0:
         return Verdict.ZERO
-    if value in (2, -2):
+    if value == 2:
         return Verdict.PLUS_MINUS_TWO
     if value % 2 == 0:
         return Verdict.COMPOSITE
-    if is_probable_prime(value, extra_rounds=extra_rounds):
-        return Verdict.PROBABLE_PRIME
-    return Verdict.COMPOSITE
+    if value < 2**64:
+        prime = is_probable_prime(value)
+    else:
+        prime = not has_small_factor(value) and index_divisor(row) == 1 and passes_strong_tests(value)
+    return Verdict.PROBABLE_PRIME if prime else Verdict.COMPOSITE
 
 
 def search_prime_tau(
@@ -87,7 +138,6 @@ def search_prime_tau(
     value_cap: int,
     *,
     table: TauTable | None = None,
-    extra_rounds: int = 0,
 ) -> list[SearchHit]:
     """All grid hits with |tau(p^{2k})| <= value_cap, ordered by (p, k)."""
     if p_max < 1 or k_max < 1:
@@ -104,15 +154,17 @@ def search_prime_tau(
         local = PrimeLocalData(p, table[p])
         cls = classify_mod23(p)
         even_terms = islice(hecke_terms(local.tau_p, local.x_p), 2, 2 * k_max + 1, 2)
+        row = [1]
         over = 0
         for k, cur in enumerate(even_terms, start=1):
+            row.append(cur)
             if abs(cur) > value_cap:
                 over += 1
                 if over > _OVERSHOOT_GRACE:
                     break
                 continue
             over = 0
-            verdict = _verdict_for(cur, extra_rounds)
+            verdict = _verdict_for(row)
             residue = cur % 23
             if (
                 verdict is Verdict.PROBABLE_PRIME
@@ -128,9 +180,7 @@ def search_prime_tau(
     return hits
 
 
-def smallest_prime_tau(
-    limit: int, *, table: TauTable | None = None, extra_rounds: int = 0
-) -> tuple[int, int] | None:
+def smallest_prime_tau(limit: int, *, table: TauTable | None = None) -> tuple[int, int] | None:
     """First n <= limit with tau(n) prime, as (n, tau(n)), or None.
 
     Parity cuts the work: tau(n) is odd only for odd square n, so those get
@@ -146,7 +196,7 @@ def smallest_prime_tau(
     for n in range(1, limit + 1):
         t = table[n]
         if n % 2 == 1 and isqrt(n) ** 2 == n:
-            if is_probable_prime(t, extra_rounds=extra_rounds):
+            if is_probable_prime(t):
                 return n, t
         elif t == 2 or t == -2:
             return n, t

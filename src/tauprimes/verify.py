@@ -27,8 +27,8 @@ from .congruence import (
     tau_mod23,
 )
 from .hecke import PrimeLocalData, closed_form_residual, factorize, tau_of_n
-from .primality import primes_up_to
-from .search import Verdict, census_by_residue, search_prime_tau, smallest_prime_tau
+from .primality import has_small_factor, is_probable_prime, primes_up_to
+from .search import Verdict, census_by_residue, index_divisor, search_prime_tau, smallest_prime_tau
 from .series import TauTable, delta_series
 from .spectral import (
     approximation_quality,
@@ -413,6 +413,37 @@ class Verifier:
                 ok,
                 f"{len(inadmissible)} inadmissible of {len(primes)} probable primes, "
                 f"counts {dict((r, c) for r, c in census.counts.items() if c)}",
+            )
+        )
+
+        # The index sieve: every small factor at prime n = 2k + 1 obeys the
+        # law the sieve picks its primes by, each divisor it reports divides,
+        # and no verdict differs from is_probable_prime's.
+        broken = factors = mismatched = odd = sieved = proven = 0
+        small_primes = primes_up_to(1023)
+        for h in hits:
+            if h.value % 2 == 0:
+                continue
+            odd += 1
+            mismatched += (h.verdict is Verdict.PROBABLE_PRIME) != is_probable_prime(h.value)
+            n = 2 * h.k + 1
+            if is_probable_prime(n) and table[h.p] % h.p:
+                for q in small_primes:
+                    if h.value % q == 0:
+                        factors += 1
+                        broken += q != n and q % n not in (1, n - 1)
+            if abs(h.value) >= 2**64 and not has_small_factor(h.value):
+                sieved += 1
+                divisor = index_divisor(_two_term_powers(h.p, table[h.p], 2 * h.k)[::2])
+                proven += 1 < divisor < abs(h.value) and h.value % divisor == 0
+        out.append(
+            CheckResult(
+                "search",
+                "index sieve: small factors obey the law, verdicts match is_probable_prime",
+                broken == mismatched == 0 and factors > 0 and proven > 0,
+                f"{broken} of {factors} factors q < 1024 at prime 2k+1 break the law; "
+                f"{mismatched} verdict mismatches over {odd} odd values; "
+                f"the sieve proved {proven} of {sieved} values above 2^64 composite",
             )
         )
 

@@ -60,6 +60,9 @@ CLAIMS = {
     11: {
         "grid p <= 2000, k <= 6, cap 10^40 finds the Lehmer hit": "337 hits, 7 probable primes",
         "census residues admissible, excluded classes need k >= 3": "0 inadmissible of 7 probable primes",
+        "index sieve: small factors obey the law, verdicts match is_probable_prime":
+            "0 of 545 factors q < 1024 at prime 2k+1 break the law; 0 verdict mismatches over 331 odd values; "
+            "the sieve proved 9 of 40",
         "tau(4) and tau(9) surface as composite hits":
             "tau(2^2) = -1472 Composite, tau(3^2) = -113643 Composite",
         "allowed residue sets and the 18 excluded classes": "allowed(k=1)=[0, 1, 3, 22], |excluded|=18",

@@ -54,6 +54,21 @@ def test_bvdp_count_bound_values():
         bvdp_count_bound(2)
 
 
+def test_bvdp_count_bound_frozen_bits():
+    # Every bit at the default 50 digits, so a rewrite that rounds differently
+    # fails.  Writing the first term as 4 (log(k+1) + log log 4) gave the same
+    # bits at every k < 3000 at 5..129 digits (that term is below 2^-16 of the
+    # sum), so this pins only rewrites that move the last bit somewhere.
+    frozen = {
+        3: "624804.57018671459321398745016799760936919230252724314",
+        13: "3941236.9285992787150144948736588482886072714575538847",
+        10**4: "61229737.22092643207993323284718469529029145173546889",
+    }
+    with mpmath.workdps(50):
+        for k, bits in frozen.items():
+            assert bvdp_count_bound(k) == mpmath.mpf(bits), k
+
+
 def test_bvdp_growth_is_polylog():
     # the per-k cap grows like (log k)^3, glacially
     with mpmath.workdps(50):

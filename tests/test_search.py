@@ -1,13 +1,17 @@
 """Prime-value search over tau(p^{2k}) and the residue census."""
 
+from math import prod
+
 import pytest
 
 from tauprimes.congruence import Class23Tag, allowed_residues_for_prime_value, excluded_b_set
 from tauprimes.hecke import PrimeLocalData, tau_prime_power
-from tauprimes.primality import primes_up_to
+from tauprimes.primality import is_probable_prime, primes_up_to
 from tauprimes.search import (
     Verdict,
+    _sieve_product,
     census_by_residue,
+    index_divisor,
     search_prime_tau,
     smallest_prime_tau,
 )
@@ -60,6 +64,40 @@ def test_grid_verdicts_consistent(table2k):
                 assert h.residue23 in allowed
         if h.p % 2 == 1:
             assert h.value % 2 == 1  # odd squares have odd tau
+
+
+def test_index_sieve_verdicts_match_plain_test(table10k):
+    # Values above 2^64 take the index sieve before Baillie-PSW; each verdict
+    # must be the one is_probable_prime gives the value on its own.
+    plain = {}
+    for cap in (10**60, 10**120, 10**200):
+        hits = search_prime_tau(2500, 24, cap, table=table10k)
+        sieved = [h for h in hits if h.value % 2 and abs(h.value) > 2**64]
+        assert any(not is_probable_prime(2 * h.k + 1) for h in sieved)  # composite indices
+        assert any(h.p == 2411 for h in sieved)  # 2411 divides tau(2411)
+        for h in hits:
+            if h.value % 2:
+                prime = plain.setdefault(h.value, is_probable_prime(h.value))
+                assert (h.verdict is Verdict.PROBABLE_PRIME) == prime, (cap, h.p, h.k)
+
+
+def test_index_divisor(table10k):
+    local = PrimeLocalData(11, table10k[11])
+    row = [tau_prime_power(local, 2 * k) for k in range(5)]
+    assert index_divisor(row) == abs(row[1])  # 2k + 1 = 9: u_3 divides u_9
+    # 2411 divides every tau(2411^m), m >= 1, and 2411 = 1 (mod 5).
+    local = PrimeLocalData(2411, table10k[2411])
+    row = [tau_prime_power(local, 2 * k) for k in range(3)]
+    assert row[2] % 2411 == 0 and index_divisor(row) % 2411 == 0
+    assert index_divisor([1, LEHMER_VALUE]) == 1  # a prime value has no proper divisor
+    assert index_divisor([1, 1031]) == 1  # nor has a prime q = -1 (mod 3) of the sieve itself
+
+
+def test_sieve_product():
+    primes = primes_up_to(10**6)
+    for n in (3, 13, 47):
+        want = [q for q in primes if q > 1023 and q % n in (1, n - 1)][:800]
+        assert _sieve_product(n) == prod(want), n
 
 
 def test_table_too_small_rejected(table2k):
