@@ -21,7 +21,7 @@ from .bounds import (
     positivity_crossover,
     progression_decade_floor,
 )
-from .cache import default_cache_path, dump_cache, read_cache, table_for, write_cache
+from .cache import default_cache_path, dump_cache, read_cache, table_for, tau_at, write_cache
 from .congruence import (
     Class23,
     Class23Tag,
@@ -62,7 +62,7 @@ from .search import (
     search_prime_tau,
     smallest_prime_tau,
 )
-from .series import TauTable, delta_series
+from .series import TauTable, delta_series, tau_values
 from .spectral import (
     ApproximationQuality,
     EvenIndexPoly,

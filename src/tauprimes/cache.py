@@ -17,10 +17,10 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from .errors import CacheMalformedError, CacheTruncatedError, CacheVersionError
-from .series import TauTable, delta_series
+from .series import TauTable, delta_series, tau_values
 
 MAGIC = "TAUCACHE"
 VERSION = 1
@@ -44,12 +44,26 @@ def table_for(limit: int, cache_path: str | Path | None = None) -> TauTable:
     missing cache, or one holding fewer than `limit` records, falls back to
     delta_series; a bad header or needed record raises its CacheError.
     """
+    table = _cached_table(limit, cache_path)
+    return delta_series(limit) if table is None else table
+
+
+def tau_at(ns: Iterable[int], cache_path: str | Path | None = None) -> dict[int, int]:
+    """{n: tau(n)} for each n in ns, from a cache as table_for reads it, or computed.
+
+    The cache lookup is table_for's with limit max(ns) (1 for no ns); only
+    when no cache covers it are the values computed, by tau_values.
+    """
+    ns = set(ns)
+    table = _cached_table(max(ns, default=1), cache_path)
+    return tau_values(ns) if table is None else {n: table[n] for n in ns}
+
+
+def _cached_table(limit: int, cache_path: str | Path | None) -> TauTable | None:
     path = Path(cache_path) if cache_path else default_cache_path()
     if path and path.exists():
-        table = _read_records(path, limit)
-        if table is not None:
-            return table
-    return delta_series(limit)
+        return _read_records(path, limit)
+    return None
 
 
 def dump_cache(table: TauTable, stream: TextIO) -> None:

@@ -15,7 +15,7 @@ import mpmath
 
 from . import __version__
 from .bounds import bound_report
-from .cache import dump_cache, table_for, write_cache
+from .cache import dump_cache, table_for, tau_at, write_cache
 from .congruence import Class23Tag, classify_mod23, tau_mod23
 from .hecke import PrimeLocalData, factorize, tau_of_n, tau_prime_power
 from .primality import is_probable_prime, primes_up_to
@@ -91,8 +91,7 @@ def _cmd_tau(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
     f = factorize(args.n)
-    table = table_for(max((p for p, _ in f.factors), default=1), args.cache)
-    print(tau_of_n(f, {p: table[p] for p, _ in f.factors}))
+    print(tau_of_n(f, tau_at((p for p, _ in f.factors), args.cache)))
     return 0
 
 
@@ -100,8 +99,7 @@ def _cmd_prime_power(args) -> int:
     _require_prime(args.p)
     if args.k < 0:
         raise ValueError("k must be >= 0")
-    table = table_for(args.p)
-    print(tau_prime_power(PrimeLocalData(args.p, table[args.p]), args.k))
+    print(tau_prime_power(PrimeLocalData(args.p, tau_at([args.p])[args.p]), args.k))
     return 0
 
 

@@ -1,8 +1,8 @@
 """Grid search for prime values among tau(p^{2k}).
 
 Only even prime-power indices can give odd values (odd perfect squares),
-so the grid runs over primes p and k = 1..k_max, stopping a p-row a few
-steps after |tau(p^{2k})| exactly exceeds the cap.  Every probable-prime
+so the grid runs over primes p and k = 1..k_max and keeps every point
+with |tau(p^{2k})| <= cap, compared exactly.  Every probable-prime
 hit is checked against the residue classes allowed mod 23; a violation
 would falsify the congruence analysis and aborts loudly.
 
@@ -41,10 +41,6 @@ from .congruence import (
 from .hecke import PrimeLocalData, hecke_terms
 from .primality import has_small_factor, is_probable_prime, passes_strong_tests, primes_up_to
 from .series import TauTable, delta_series
-
-# After the first exact cap crossing, examine this many further k before
-# abandoning the row; |tau| is checked exactly, never assumed monotone.
-_OVERSHOOT_GRACE = 3
 
 # Primes q = +-1 (mod n) in the index sieve's product for prime n.
 _SIEVE_DEPTH = 800
@@ -155,15 +151,10 @@ def search_prime_tau(
         cls = classify_mod23(p)
         even_terms = islice(hecke_terms(local.tau_p, local.x_p), 2, 2 * k_max + 1, 2)
         row = [1]
-        over = 0
         for k, cur in enumerate(even_terms, start=1):
             row.append(cur)
             if abs(cur) > value_cap:
-                over += 1
-                if over > _OVERSHOOT_GRACE:
-                    break
                 continue
-            over = 0
             verdict = _verdict_for(row)
             residue = cur % 23
             if (

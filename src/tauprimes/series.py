@@ -1,7 +1,7 @@
 """Exact q-expansion of Delta(q) = q * prod_{n>=1} (1 - q^n)^24 = sum tau(n) q^n.
 
-The cube of the Euler product collapses to a sparse signed series over
-triangular numbers,
+A whole table tau(1..N) comes from delta_series.  The cube of the Euler
+product collapses to a sparse signed series over triangular numbers,
 
     prod_{n>=1} (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2},
 
@@ -14,12 +14,23 @@ three big multiplications, each on limbs sized from a proven bound for
 its own stage.  Each square is reduced mod 10^(n*w) by slicing its digit
 string, and the signed coefficients are read back by offsetting every limb
 by half the base.
+
+A few single values tau(n) come from tau_values, by Niebur's convolution
+of the divisor sums (D. Niebur, Illinois J. Math. 19, 1975),
+
+    tau(n) = n^4 sigma(n) - 24 sum_{i=1}^{n-1} (35i^4 - 52i^3 n + 18i^2 n^2) sigma(i) sigma(n-i),
+
+which needs one sieve of sigma up to N = max n (O(N log N) small-integer
+additions) and an O(n) sum per value, so a few values cost far less than
+the table up to N.  Over a whole table the sums would cost O(N^2).
 """
 
 from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
+from math import isqrt
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError
@@ -60,6 +71,15 @@ class TauTable:
         if not 1 <= limit <= len(self.coeffs):
             raise ValueError(f"cannot truncate to {limit}, table holds 1..{len(self.coeffs)}")
         return TauTable(self.coeffs[:limit])
+
+
+def _refuse_over_ceiling(limit: int, ceiling: int) -> None:
+    if limit > ceiling:
+        raise BudgetExceededError(
+            f"series limit {limit} exceeds the ceiling of {ceiling} terms; the "
+            f"tauprimes command caps series at {DEFAULT_LIMIT_CEILING} terms, and "
+            "Python callers may pass delta_series(..., ceiling=) to allow more"
+        )
 
 
 def _cube_terms(limit: int) -> tuple[tuple[int, int], ...]:
@@ -107,12 +127,7 @@ def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTabl
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if limit > ceiling:
-        raise BudgetExceededError(
-            f"series limit {limit} exceeds the ceiling of {ceiling} terms; the "
-            f"tauprimes command caps series at {DEFAULT_LIMIT_CEILING} terms, and "
-            "Python callers may pass delta_series(..., ceiling=) to allow more"
-        )
+    _refuse_over_ceiling(limit, ceiling)
     # Delta = q * cube^8, so tau(n) is the cube^8 coefficient at degree n-1.
     terms = _cube_terms(limit - 1)
     # Every cube^4 coefficient g_i below degree `limit` is at most W^4 in
@@ -124,3 +139,42 @@ def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTabl
     terms = enumerate(g)
     del g  # the exhausted iterator frees cube^4 before the last squaring
     return TauTable(tuple(_power(terms, limit, w, 1)))
+
+
+def _divisor_sums(limit: int) -> list[int]:
+    """[0, sigma(1), ..., sigma(limit)], sigma(m) the sum of the divisors of m."""
+    sigma = [0] * (limit + 1)
+    # Each divisor pair (d, m/d) with d <= sqrt(m) once: d^2 adds d, and
+    # m = d*j with j > d adds d + j.
+    for d in range(1, isqrt(limit) + 1):
+        sigma[d * d] += d
+        sigma[d * (d + 1) :: d] = map(add, sigma[d * (d + 1) :: d], range(2 * d + 1, d + limit // d + 1))
+    return sigma
+
+
+def tau_values(ns: Iterable[int]) -> dict[int, int]:
+    """{n: tau(n)} for each n in ns by Niebur's formula, sharing one sigma sieve.
+
+    Refuses any n above DEFAULT_LIMIT_CEILING, as delta_series does.
+    """
+    ns = sorted(set(ns))
+    if not ns:
+        return {}
+    if ns[0] < 1:
+        raise ValueError("n must be >= 1")
+    _refuse_over_ceiling(ns[-1], DEFAULT_LIMIT_CEILING)
+    sigma = _divisor_sums(ns[-1])
+    out = {}
+    for n in ns:
+        # sigma(i) sigma(n-i) is even in t = 2i - n, so the part of Niebur's
+        # weight odd in t cancels, leaving (35t^4 - 30n^2 t^2 + 3n^4) / 16.
+        # c_k = sum_{i=1}^{n-1} t^k sigma(i) sigma(n-i): the terms i < n/2
+        # count twice, and i = n/2 (t = 0) only in c_0; 24/16 = 3/2.
+        half = (n + 1) // 2
+        u = list(map(mul, sigma[1:half], sigma[n - 1 : n - half : -1]))
+        t2 = list(map(mul, range(n - 2, 0, -2), range(n - 2, 0, -2)))
+        t2u = list(map(mul, t2, u))
+        c0 = 2 * sum(u) + (sigma[n // 2] ** 2 if n % 2 == 0 else 0)
+        c2, c4 = 2 * sum(t2u), 2 * sum(map(mul, t2, t2u))
+        out[n] = n**4 * sigma[n] - 3 * (35 * c4 - 30 * n * n * c2 + 3 * n**4 * c0) // 2
+    return out

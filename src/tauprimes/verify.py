@@ -29,7 +29,7 @@ from .congruence import (
 from .hecke import PrimeLocalData, closed_form_residual, factorize, tau_of_n
 from .primality import has_small_factor, is_probable_prime, primes_up_to
 from .search import Verdict, census_by_residue, index_divisor, search_prime_tau, smallest_prime_tau
-from .series import TauTable, delta_series
+from .series import TauTable, delta_series, tau_values
 from .spectral import (
     approximation_quality,
     cyclotomic_factor_magnitudes,
@@ -142,7 +142,7 @@ class Verifier:
         out.append(CheckResult("series", "Hecke recurrence + multiplicativity, n <= 10^4", ok, detail))
 
         got = table[LEHMER_N]
-        route2 = tau_of_n(factorize(LEHMER_N), {251: table[251]})
+        route2 = tau_of_n(factorize(LEHMER_N), tau_values([251]))
         out.append(
             CheckResult(
                 "series",

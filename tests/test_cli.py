@@ -114,6 +114,48 @@ def test_tau_corrupt_cache(capsys, tmp_path):
     assert code == 1 and "version" in err
 
 
+def test_tau_corrupt_cache_without_primes(capsys, tmp_path):
+    # tau 1 needs no tau(p) but still reads the named cache's header.
+    path = tmp_path / "bad.cache"
+    path.write_text("TAUCACHE 9\n1\n1 1\n")
+    code, out, err = run(capsys, "tau", "1", "--cache", str(path))
+    assert (code, out) == (1, "") and "format version '9'" in err
+
+
+def test_single_values_over_ceiling(capsys):
+    # 200003 is prime, so both commands need tau(200003) itself.
+    for argv in (("tau", "200003"), ("prime-power", "200003", "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err == (
+            "error: series limit 200003 exceeds the ceiling of 200000 terms; the tauprimes "
+            "command caps series at 200000 terms, and Python callers may pass "
+            "delta_series(..., ceiling=) to allow more\n"
+        ), argv
+
+
+def forbid(monkeypatch, functions, why):
+    # Patch every binding, so `from .series import delta_series` users see it too.
+    def refuse(*args, **kwargs):
+        raise AssertionError(why)
+
+    for name, module in list(sys.modules.items()):
+        for function in functions:
+            if name.startswith("tauprimes") and hasattr(module, function):
+                monkeypatch.setattr(module, function, refuse)
+
+
+def test_single_values_without_series(capsys, monkeypatch):
+    monkeypatch.delenv("TAUPRIMES_CACHE_DIR", raising=False)
+    forbid(monkeypatch, ["delta_series"], "a whole tau series computed for a few values")
+    for argv, want in (
+        (("tau", "63001"), LEHMER),
+        (("tau", "6048"), "-241355667795691438080"),
+        (("prime-power", "251", "2"), LEHMER),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, want + "\n"), argv
+
+
 def test_tau_domain_errors(capsys):
     code, _, err = run(capsys, "tau", "0")
     assert code == 1
@@ -309,13 +351,7 @@ def test_commands_read_env_cache(capsys, tmp_path, monkeypatch):
     usual = [strip_timestamp(run(capsys, *argv)[1]) for argv in commands]
     write_cache(delta_series(300), tmp_path / "taucache.txt")
     monkeypatch.setenv("TAUPRIMES_CACHE_DIR", str(tmp_path))
-
-    def no_series(*args, **kwargs):
-        raise AssertionError("tau series computed although the cache covers the request")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tauprimes") and hasattr(module, "delta_series"):
-            monkeypatch.setattr(module, "delta_series", no_series)
+    forbid(monkeypatch, ["delta_series", "tau_values"], "tau computed although the cache covers the request")
     for argv, want in zip(commands, usual):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and strip_timestamp(out) == want, argv

@@ -155,6 +155,6 @@ def test_search_includes_p2_even_values(table2k):
 
 
 def test_overshoot_rows_terminate(table2k):
-    # tiny cap: every row overshoots immediately and stops after the grace steps
+    # tiny cap: every row runs to k_max above the cap and keeps no point
     hits = search_prime_tau(100, 50, 10, table=table2k)
     assert hits == []

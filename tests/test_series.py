@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from tauprimes.cache import dump_cache
 from tauprimes.errors import BudgetExceededError
-from tauprimes.series import TauTable, _cube_terms, delta_series
+from tauprimes.series import DEFAULT_LIMIT_CEILING, TauTable, _cube_terms, delta_series, tau_values
 from tauprimes.verify import brute_force_delta
 
 EXPANSION_HEAD = [1, -24, 252, -1472, 4830]
+LEHMER_VALUE = -80561663527802406257321747
 
 # Every n <= 2000 where a limb width of delta_series(n) grows: w4 = digits of
 # 2*W^4 (W the sum of |c| over the cube terms below degree n) or w8 = digits
@@ -139,3 +140,23 @@ def test_tau_table_validates_tau1():
     with pytest.raises(ValueError):
         TauTable(())
 
+
+def test_tau_values_match_series(table100k):
+    assert tau_values(range(1, 501)) == {n: table100k[n] for n in range(1, 501)}
+    # one sigma sieve per call, so each short sieve is checked too
+    assert all(tau_values([n]) == {n: table100k[n]} for n in range(1, 50))
+    assert tau_values([63001]) == {63001: LEHMER_VALUE}
+    near = (99881, 99901, 99923, 99961, 99989, 99991)
+    assert tau_values(near + near[:2]) == {n: table100k[n] for n in near}
+    assert tau_values([]) == {}
+
+
+def test_tau_values_rejects_bad_n():
+    with pytest.raises(ValueError):
+        tau_values([5, 0])
+    over = DEFAULT_LIMIT_CEILING + 1
+    with pytest.raises(BudgetExceededError) as refused:
+        tau_values([2, over])
+    with pytest.raises(BudgetExceededError) as series_refused:
+        delta_series(over)
+    assert str(refused.value) == str(series_refused.value)
