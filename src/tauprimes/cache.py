@@ -27,6 +27,7 @@ VERSION = 1
 
 ENV_CACHE_DIR = "TAUPRIMES_CACHE_DIR"
 DEFAULT_CACHE_NAME = "taucache.txt"
+_MAX_COUNT_DIGITS = 18
 
 
 def default_cache_path() -> Path | None:
@@ -120,6 +121,9 @@ def _read_records(path: str | Path, want: int | None = None) -> TauTable | None:
     if len(lines) < 2:
         raise CacheTruncatedError("record count line missing", line=2)
     count_text = lines[1]
+    if len(count_text) > _MAX_COUNT_DIGITS:
+        # int() refuses numerals past 4300 digits; no file holds 10^18 records
+        raise CacheMalformedError(f"record count has {len(count_text)} digits", line=2)
     if not count_text.isdigit() or str(int(count_text)) != count_text:
         raise CacheMalformedError(f"record count {count_text!r} is not a plain integer", line=2)
     count = int(count_text)

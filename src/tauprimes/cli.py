@@ -38,14 +38,20 @@ from .verify import SUITES, Verifier, format_results
 def parse_big_int(text: str) -> int:
     """Exact integer from '123', '1_000', '1e40', or '3*10^40' style input."""
     t = text.replace("_", "")
-    if re.fullmatch(r"\d+", t):
-        return int(t)
-    m = re.fullmatch(r"(\d+)[eE](\d+)", t)
-    if m:
-        return int(m.group(1)) * 10 ** int(m.group(2))
-    m = re.fullmatch(r"(?:(\d+)\*)?10\^(\d+)", t)
-    if m:
-        return (int(m.group(1)) if m.group(1) else 1) * 10 ** int(m.group(2))
+    try:
+        if re.fullmatch(r"\d+", t):
+            return int(t)
+        m = re.fullmatch(r"(\d+)[eE](\d+)", t)
+        if m:
+            return int(m.group(1)) * 10 ** int(m.group(2))
+        m = re.fullmatch(r"(?:(\d+)\*)?10\^(\d+)", t)
+        if m:
+            return (int(m.group(1)) if m.group(1) else 1) * 10 ** int(m.group(2))
+    except ValueError:
+        # int() refuses numerals longer than sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(
+            f"numeral of {len(t)} characters is longer than Python parses; write it as a*10^e"
+        ) from None
     raise argparse.ArgumentTypeError(f"cannot parse {text!r} as an exact integer")
 
 

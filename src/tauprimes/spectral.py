@@ -9,21 +9,33 @@ Dehomogenized at x = 1, G_k(1, y) has the k simple real roots
 alpha_{j,k} = 4 cos^2(pi j / (2k+1)), j = 1..k, all in (0, 4).  The same
 local roots give |tau(p^{n-1})| as a product of cyclotomic factor
 magnitudes |Phi_d(alpha, beta)| over divisors d > 1 of n.
+
+root_set takes one cosine and builds the rest by Chebyshev's recurrence in
+fixed point; each root is bit-identical to the per-root cosine _alpha,
+which it calls itself for the few roots near a rounding midpoint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
 import mpmath
+from mpmath import libmp
 
 from .errors import BudgetExceededError, DegenerateDiscriminantError
 from .hecke import PrimeLocalData, tau_prime_powers
 
 DEFAULT_MAX_K = 10_000
+
+# root_set's fixed-point cosines carry this many bits beyond the context
+# precision (plus 2 bitlen(2k+1)), and defer to mpmath.cos for any root whose
+# value lies within 2^-_MIDPOINT_MARGIN_BITS ulp of a rounding midpoint.
+_GUARD_BITS = 64
+_MIDPOINT_MARGIN_BITS = 6
 
 
 def _working_digits(k: int, precision_digits: int | None) -> int:
@@ -73,12 +85,16 @@ class ApproximationQuality(NamedTuple):
     triggered: bool
 
 
+def _check_max_k(k: int, max_k: int) -> None:
+    if k > max_k:
+        raise BudgetExceededError(f"k = {k} exceeds the ceiling {max_k}")
+
+
 def even_index_poly(k: int, *, max_k: int = DEFAULT_MAX_K) -> EvenIndexPoly:
     """Coefficients of G_k via the integer recurrence; k >= 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > max_k:
-        raise BudgetExceededError(f"k = {k} exceeds the ceiling {max_k}")
+    _check_max_k(k, max_k)
     if k == 0:
         return EvenIndexPoly(0, (1,))
     prev = [1]            # G_0
@@ -122,13 +138,46 @@ def _alpha(j: int, k: int) -> mpmath.mpf:
 
 
 def root_set(k: int, precision_digits: int | None = None) -> RootSet:
-    """alpha_{j,k} = 4 cos^2(pi j/(2k+1)), j = 1..k, strictly decreasing."""
+    """alpha_{j,k} = 4 cos^2(pi j/(2k+1)), j = 1..k, strictly decreasing.
+
+    Each root is bit-identical to _alpha(j, k) at the same precision, but
+    the k cosines come from one: with n = 2k+1 and p the context precision
+    in bits, Chebyshev's recurrence C_{j+1} = 2 cos(pi/n) C_j - C_{j-1}
+    runs in fixed point at W = p + _GUARD_BITS + 2 bitlen(n) bits, where
+    its error stays below about k n / pi units of 2^-W.  _alpha takes the
+    cosine of x_j = mpmath.pi * j / n, rounded to p bits, not of pi j/n, so
+    C_j gets the first-order correction -(x_j - pi j/n) sin(pi j/n); as
+    |x_j - pi j/n| < 2^(2-p), a float sine suffices and the dropped square
+    is below 2^(4-2p).  The result, rounded to nearest at p bits, is what
+    mpmath.cos returns unless it lies within 2^-_MIDPOINT_MARGIN_BITS ulp of
+    a rounding midpoint, where mpmath.cos's own error could decide the last
+    bit; such roots are taken from _alpha itself.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_max_k(k, DEFAULT_MAX_K)
     digits = _working_digits(k, precision_digits)
+    n = 2 * k + 1
     with mpmath.workdps(digits):
-        alphas = tuple(_alpha(j, k) for j in range(1, k + 1))
-    return RootSet(k, alphas, digits)
+        prec = mpmath.mp.prec
+        wide = prec + _GUARD_BITS + 2 * n.bit_length()
+        pi_wide = libmp.pi_fixed(wide)
+        cos1 = libmp.to_fixed(libmp.mpf_cos(libmp.from_man_exp(pi_wide // n, -wide), wide), wide)
+        alphas = []
+        prev, cur = 1 << wide, cos1  # C_0, C_1 scaled by 2^wide
+        for j in range(1, k + 1):
+            _, man, exp, _ = (mpmath.pi * j / n)._mpf_  # _alpha's argument x_j
+            delta = (man << (exp + wide)) - pi_wide * j // n
+            value = cur - int(delta * math.sin(math.pi * j / n))
+            shift = value.bit_length() - prec  # one ulp at p bits is 2^shift
+            rest = value & ((1 << shift) - 1)
+            if abs(rest - (1 << (shift - 1))) < 1 << (shift - _MIDPOINT_MARGIN_BITS):
+                alphas.append(_alpha(j, k))
+            else:
+                c = mpmath.mp.make_mpf(libmp.from_man_exp(value, -wide, prec, libmp.round_nearest))
+                alphas.append(4 * c**2)
+            prev, cur = cur, ((cos1 * cur) >> (wide - 1)) - prev
+    return RootSet(k, tuple(alphas), digits)
 
 
 def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:

@@ -3,9 +3,12 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tauprimes.cache import default_cache_path, read_cache, table_for, write_cache
 from tauprimes.errors import (
+    CacheError,
     CacheMalformedError,
     CacheTruncatedError,
     CacheVersionError,
@@ -70,6 +73,7 @@ def test_missing_final_newline_accepted(tmp_path):
         ("TAUCACHE 1\n", CacheTruncatedError, 2),
         ("TAUCACHE 1\nx\n1 1\n", CacheMalformedError, 2),
         ("TAUCACHE 1\n0\n", CacheMalformedError, 2),
+        ("TAUCACHE 1\n" + "9" * 5000 + "\n1 1\n", CacheMalformedError, 2),
         ("TAUCACHE 1\n3\n1 1\n2 -24\n", CacheTruncatedError, 5),
         ("TAUCACHE 1\n1\n1 1\n2 -24\n", CacheMalformedError, 4),
         ("TAUCACHE 1\n1\n1 1\n\n", CacheMalformedError, 4),
@@ -115,3 +119,44 @@ def test_table_for_parses_only_needed_records(tmp_path):
     write_text(path, "TAUCACHE 9\n3\n")
     with pytest.raises(CacheVersionError):
         table_for(1, path)
+
+
+# Replacement lines: any text, numerals, records, numerals at and past
+# Python's 4300-digit int parsing limit, and lines with a stray character.
+LINE = st.one_of(
+    st.text(max_size=30),
+    st.integers(-(10**30), 10**30).map(str),
+    st.builds("{} {}".format, st.integers(-5, 20), st.integers(-(10**6), 10**6)),
+    st.builds(lambda head, n: head + "9" * n, st.sampled_from(["", "2 ", "2 -"]), st.integers(4290, 4310)),
+    st.builds(str.__add__, st.sampled_from(GOOD.split("\n")), st.sampled_from(["\r", " ", "\x00", "é", "0"])),
+)
+
+
+def read_only_documented(path, data):
+    path.write_bytes(data)
+    try:
+        read_cache(path)
+    except CacheError:
+        pass
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.builds(bytes.__add__, st.sampled_from([b"TAUCACHE 1\n", b"TAUCACHE 1\n2\n"]), st.binary(max_size=60)),
+    )
+)
+def test_fuzz_arbitrary_bytes(tmp_path, data):
+    # read_cache accepts or raises a CacheError subclass, nothing else.
+    read_only_documented(tmp_path / "fuzz.cache", data)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(LINE)
+def test_fuzz_one_line_mutated(tmp_path, line):
+    # Each line of a valid cache in turn replaced by `line`, preceded by it, or dropped.
+    good = GOOD.split("\n")
+    for at in range(len(good)):
+        for lines in (good[:at] + [line] + good[at + 1 :], good[:at] + [line] + good[at:], good[:at] + good[at + 1 :]):
+            read_only_documented(tmp_path / "fuzz.cache", "\n".join(lines).encode())

@@ -1,13 +1,17 @@
 """CLI behavior: command surface, exit codes, report determinism."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tauprimes
 from tauprimes.cache import write_cache
@@ -23,6 +27,10 @@ OUTPUT_DIGESTS = {
     ("bounds", "--N", "1e8"): "64f3d45d929812b3d4776bfbe311747603ea27e95c3997c485b99bf25dcc7da3",
     ("bounds", "--N", "1e1000"): "e83c38049625072b6041ecfd9dadce0d4abfb35115362efdca1fbdfac73c547f",
     ("poly", "--k", "300", "--roots"): "8ba972cd881c9e107f312acda6c1506840a33534eef63584435f1d06e59abd89",
+    # Recorded before root_set moved to the cosine recurrence: a precision
+    # below the default 4k digits, and one far above it.
+    ("poly", "--k", "120", "--roots", "--digits", "20"): "1dd09372191a6d4de2650f28f1f98cfa7f76d4132a38c81660dc4a7e46ea868b",
+    ("poly", "--k", "40", "--roots", "--digits", "1500"): "88055bc099982b9ef1a3ad4fbadcb1f92f8c1adc2c4ff2008aab097298b0f369",
 }
 
 
@@ -45,6 +53,42 @@ def test_parse_big_int():
     for bad in ("1.5", "-3", "ten", "1e2.5"):
         with pytest.raises(Exception):
             parse_big_int(bad)
+    for numeral in ("7" * 5000, "7" * 5000 + "e3", "7" * 5000 + "*10^3"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_big_int(numeral)
+
+
+def underscored(digits):
+    """digits with underscores at random places."""
+    return st.lists(st.booleans(), min_size=len(digits), max_size=len(digits)).map(
+        lambda marks: "".join(d + "_" * m for d, m in zip(digits, marks))
+    )
+
+
+# Numerals up to 40 digits and around Python's 4300-digit int parsing limit;
+# exponents stay at 10^4 or below, so 10**e is small.
+SHORT = st.integers(0, 10**40).map(str)
+MANTISSA = st.one_of(SHORT, st.integers(4290, 4310).map(lambda n: "7" * n))
+EXPONENT = st.integers(0, 10**4)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.text(max_size=40).filter(lambda t: not re.search(r"[eE^][\d_]{5,}", t)),
+        st.builds("{}e{}".format, MANTISSA, EXPONENT),
+        st.builds("{}*10^{}".format, MANTISSA, EXPONENT),
+        MANTISSA,
+        SHORT.flatmap(underscored),
+    )
+)
+def test_fuzz_parse_big_int(text):
+    # An exact integer or argparse.ArgumentTypeError, nothing else.
+    try:
+        value = parse_big_int(text)
+    except argparse.ArgumentTypeError:
+        return
+    assert isinstance(value, int) and value >= 0
 
 
 def test_series_stdout(capsys):

@@ -6,10 +6,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tauprimes import spectral
 from tauprimes.errors import BudgetExceededError, DegenerateDiscriminantError
 from tauprimes.hecke import PrimeLocalData
 from tauprimes.spectral import (
+    DEFAULT_MAX_K,
     EvenIndexPoly,
+    _alpha,
     approximation_quality,
     cyclotomic_factor_magnitudes,
     eval_dehomogenized,
@@ -111,6 +114,52 @@ def test_root_set_shape_and_range():
         root_set(0)
     with pytest.raises(ValueError):
         root_set(3, 10)
+
+
+def count_fallbacks(monkeypatch):
+    """Route root_set's _alpha calls through a counter; returns the call list."""
+    calls = []
+
+    def counted(j, k):
+        calls.append((j, k))
+        return _alpha(j, k)
+
+    monkeypatch.setattr(spectral, "_alpha", counted)
+    return calls
+
+
+def assert_roots_are_alpha(k, digits):
+    rs = root_set(k, digits)
+    with mpmath.workdps(rs.precision_digits):
+        for j, a in enumerate(rs.alphas, start=1):
+            assert a._mpf_ == _alpha(j, k)._mpf_, (k, digits, j)
+
+
+def test_root_set_is_bit_identical_to_alpha(monkeypatch):
+    # The recurrence route and the per-root cosine give the same bits.
+    calls = count_fallbacks(monkeypatch)
+    cases = [(k, d) for k in range(1, 61) for d in (None, 20, 60, 200)] + [(150, None), (300, None)]
+    for k, d in cases:
+        assert_roots_are_alpha(k, d)
+    # Both branches ran: most roots from the recurrence, some near a midpoint.
+    assert 0 < len(calls) < sum(k for k, _ in cases) // 10
+
+
+def test_root_set_fallback_branch(monkeypatch):
+    # A margin of a whole ulp sends every root through _alpha.
+    calls = count_fallbacks(monkeypatch)
+    monkeypatch.setattr(spectral, "_MIDPOINT_MARGIN_BITS", 0)
+    for k, d in ((1, None), (7, 20), (33, 200), (80, None)):
+        del calls[:]
+        assert_roots_are_alpha(k, d)
+        assert calls == [(j, k) for j in range(1, k + 1)]
+
+
+def test_root_set_budget():
+    # Refused before any work, in even_index_poly's words.
+    for build in (root_set, even_index_poly):
+        with pytest.raises(BudgetExceededError, match=f"^k = {DEFAULT_MAX_K + 1} exceeds the ceiling {DEFAULT_MAX_K}$"):
+            build(DEFAULT_MAX_K + 1)
 
 
 def test_vieta_sum_of_roots():
