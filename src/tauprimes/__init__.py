@@ -25,7 +25,6 @@ from .cache import default_cache_path, dump_cache, read_cache, table_for, tau_at
 from .congruence import (
     Class23,
     Class23Tag,
-    ResidueSet23,
     allowed_residues_for_prime_value,
     classify_mod23,
     excluded_b_set,
@@ -66,7 +65,6 @@ from .series import TauTable, delta_series, tau_values
 from .spectral import (
     ApproximationQuality,
     EvenIndexPoly,
-    RationalApproximant,
     RootSet,
     approximation_quality,
     cyclotomic_factor_magnitudes,
@@ -75,7 +73,6 @@ from .spectral import (
     even_index_poly,
     growth_check,
     min_gap,
-    reduce_ratio,
     root_set,
 )
 

@@ -39,12 +39,12 @@ def parse_big_int(text: str) -> int:
     """Exact integer from '123', '1_000', '1e40', or '3*10^40' style input."""
     t = text.replace("_", "")
     try:
-        if re.fullmatch(r"\d+", t):
+        if re.fullmatch(r"[0-9]+", t):
             return int(t)
-        m = re.fullmatch(r"(\d+)[eE](\d+)", t)
+        m = re.fullmatch(r"([0-9]+)[eE]([0-9]+)", t)
         if m:
             return int(m.group(1)) * 10 ** int(m.group(2))
-        m = re.fullmatch(r"(?:(\d+)\*)?10\^(\d+)", t)
+        m = re.fullmatch(r"(?:([0-9]+)\*)?10\^([0-9]+)", t)
         if m:
             return (int(m.group(1)) if m.group(1) else 1) * 10 ** int(m.group(2))
     except ValueError:

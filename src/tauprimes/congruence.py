@@ -37,28 +37,6 @@ class Class23:
             raise ValueError("witness is present exactly for the principal-form class")
 
 
-@dataclass(frozen=True)
-class ResidueSet23:
-    """A nonempty set of residues mod 23."""
-
-    residues: frozenset[int]
-
-    def __post_init__(self):
-        if not self.residues:
-            raise ValueError("residue set must be nonempty")
-        if not all(0 <= r < 23 for r in self.residues):
-            raise ValueError("residues must lie in 0..22")
-
-    def __contains__(self, r: int) -> bool:
-        return r in self.residues
-
-    def __iter__(self):
-        return iter(sorted(self.residues))
-
-    def __len__(self) -> int:
-        return len(self.residues)
-
-
 def legendre(a: int, q: int) -> int:
     """Legendre symbol (a/q) for odd prime q, via Euler's criterion."""
     if q < 3 or q % 2 == 0:
@@ -107,11 +85,11 @@ def tau_mod23(cls: Class23, k: int) -> int:
     return next(islice(hecke_terms(t1, e, 23), k, None))
 
 
-def allowed_residues_for_prime_value(k: int) -> ResidueSet23:
+def allowed_residues_for_prime_value(k: int) -> frozenset[int]:
     """Residues mod 23 available to an odd prime value tau(p^{2k}), k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return ResidueSet23(frozenset({0, 1, 22, (2 * k + 1) % 23}))
+    return frozenset({0, 1, 22, (2 * k + 1) % 23})
 
 
 def excluded_b_set() -> frozenset[int]:

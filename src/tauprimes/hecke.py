@@ -3,8 +3,9 @@
 tau is multiplicative on coprime arguments and satisfies the local
 recurrence tau(p^m) = tau(p) tau(p^{m-1}) - p^11 tau(p^{m-2}), i.e. the
 power sums of the roots of x^2 - tau(p) x + p^11.  Everything here is
-exact big-integer arithmetic except closed_form_residual, which compares
-the exact value against the trigonometric closed form.
+exact big-integer arithmetic except local_angle, the argument of those
+roots, and closed_form_residual, which compares the exact value against
+the trigonometric closed form.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import mpmath
 from .errors import BudgetExceededError, DegenerateDiscriminantError, MissingPrimeError
 
 DEFAULT_FACTOR_BUDGET = 10**12
+# Working precision of the trigonometric closed forms of the local roots.
+CLOSED_FORM_DIGITS = 60
 
 
 @dataclass(frozen=True)
@@ -102,27 +105,35 @@ def deligne_check(local: PrimeLocalData) -> bool:
     return local.y_p <= 4 * local.x_p
 
 
-def closed_form_residual(local: PrimeLocalData, k: int, precision_digits: int = 60) -> float:
-    """Relative gap between exact tau(p^k) and p^{11k/2} sin((k+1)t)/sin(t).
+def local_angle(local: PrimeLocalData) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(r, t) = (p^{11/2}, arccos(tau(p) / (2 p^{11/2}))) at the working precision.
 
-    Here t = arccos(tau(p) / (2 p^{11/2})); requires tau(p)^2 < 4 p^11 so
-    the angle is real and nondegenerate.
+    The local roots are r e^{+-it}; requires tau(p)^2 < 4 p^11 so the angle
+    is real and nondegenerate.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if local.y_p >= 4 * local.x_p:
         raise DegenerateDiscriminantError(
             f"tau({local.p})^2 = {local.y_p} is not strictly below 4*p^11 = {4 * local.x_p}"
         )
-    exact = tau_prime_power(local, k)
-    with mpmath.workdps(precision_digits):
-        root = mpmath.sqrt(mpmath.mpf(local.x_p))
-        theta = mpmath.acos(mpmath.mpf(local.tau_p) / (2 * root))
+    r = mpmath.sqrt(mpmath.mpf(local.x_p))
+    return r, mpmath.acos(mpmath.mpf(local.tau_p) / (2 * r))
+
+
+def closed_form_residual(local: PrimeLocalData, k: int) -> float:
+    """Relative gap between exact tau(p^k) and p^{11k/2} sin((k+1)t)/sin(t).
+
+    Here (p^{11/2}, t) is local_angle(local), at CLOSED_FORM_DIGITS digits.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    with mpmath.workdps(CLOSED_FORM_DIGITS):
+        root, theta = local_angle(local)
+        exact = tau_prime_power(local, k)
         approx = root**k * mpmath.sin((k + 1) * theta) / mpmath.sin(theta)
         if exact == 0:
             # 0/0 convention: agree when the closed form is also negligible
             # at the working scale.
-            scale = root**k * mpmath.mpf(10) ** (-(precision_digits - 10))
+            scale = root**k * mpmath.mpf(10) ** (-(CLOSED_FORM_DIGITS - 10))
             return 0.0 if abs(approx) <= scale else float("inf")
         return float(abs(exact - approx) / abs(exact))
 
@@ -138,12 +149,12 @@ _WHEEL_GAPS = tuple(
 )
 
 
-def factorize(n: int, *, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
-    """Trial-division factorization of n >= 1 within a size budget."""
+def factorize(n: int) -> Factorization:
+    """Trial-division factorization of 1 <= n <= DEFAULT_FACTOR_BUDGET."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > budget:
-        raise BudgetExceededError(f"n = {n} exceeds the factorization budget {budget}")
+    if n > DEFAULT_FACTOR_BUDGET:
+        raise BudgetExceededError(f"n = {n} exceeds the factorization budget {DEFAULT_FACTOR_BUDGET}")
     original = n
     factors = []
     for p in _WHEEL_FIRST:

@@ -13,9 +13,7 @@ is_probable_prime decides |n|:
 
 passes_strong_tests is steps 2 and 3 alone, for callers that screen with
 has_small_factor and a sieve of their own first.  No randomness anywhere,
-so verdicts are reproducible run to run.  extra_rounds adds strong tests
-to the first few odd-prime bases on top of the Baillie-PSW pass for
-callers who want belt and braces.
+so verdicts are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ _SMALL_PRIMES = frozenset(primes_up_to(1023))
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 _SMALL_LIMIT_SQ = 1024 * 1024
 _BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_EXTRA_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -114,12 +111,12 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, *, extra_rounds: int = 0) -> bool:
+def is_probable_prime(n: int) -> bool:
     """True when |n| is prime (or an unrecorded Baillie-PSW pseudoprime)."""
     n = abs(n)
     if n < 1024:
         return n in _SMALL_PRIMES
-    return not has_small_factor(n) and passes_strong_tests(n, extra_rounds=extra_rounds)
+    return not has_small_factor(n) and passes_strong_tests(n)
 
 
 def has_small_factor(n: int) -> bool:
@@ -127,19 +124,10 @@ def has_small_factor(n: int) -> bool:
     return gcd(n, _SMALL_PRODUCT) != 1
 
 
-def passes_strong_tests(n: int, *, extra_rounds: int = 0) -> bool:
+def passes_strong_tests(n: int) -> bool:
     """is_probable_prime(n) for n >= 1024 with no prime factor below 1024."""
     if n < _SMALL_LIMIT_SQ:
         return True
     if n < 2**64:
         return all(_strong_probable_prime(n, b) for b in _BASES_64)
-    if not _strong_probable_prime(n, 2):
-        return False
-    if isqrt(n) ** 2 == n:
-        return False
-    if not _strong_lucas(n):
-        return False
-    for base in _EXTRA_BASES[: max(0, extra_rounds)]:
-        if not _strong_probable_prime(n, base):
-            return False
-    return True
+    return _strong_probable_prime(n, 2) and isqrt(n) ** 2 != n and _strong_lucas(n)

@@ -40,7 +40,7 @@ from .congruence import (
 )
 from .hecke import PrimeLocalData, hecke_terms
 from .primality import has_small_factor, is_probable_prime, passes_strong_tests, primes_up_to
-from .series import TauTable, delta_series
+from .series import TauTable
 
 # Primes q = +-1 (mod n) in the index sieve's product for prime n.
 _SIEVE_DEPTH = 800
@@ -133,16 +133,14 @@ def search_prime_tau(
     k_max: int,
     value_cap: int,
     *,
-    table: TauTable | None = None,
+    table: TauTable,
 ) -> list[SearchHit]:
     """All grid hits with |tau(p^{2k})| <= value_cap, ordered by (p, k)."""
     if p_max < 1 or k_max < 1:
         raise ValueError("p_max and k_max must be >= 1")
     if value_cap < 0:
         raise ValueError("value_cap must be >= 0")
-    if table is None:
-        table = delta_series(p_max)
-    elif table.limit < p_max:
+    if table.limit < p_max:
         raise ValueError(f"table covers 1..{table.limit}, need 1..{p_max}")
 
     hits: list[SearchHit] = []
@@ -171,7 +169,7 @@ def search_prime_tau(
     return hits
 
 
-def smallest_prime_tau(limit: int, *, table: TauTable | None = None) -> tuple[int, int] | None:
+def smallest_prime_tau(limit: int, *, table: TauTable) -> tuple[int, int] | None:
     """First n <= limit with tau(n) prime, as (n, tau(n)), or None.
 
     Parity cuts the work: tau(n) is odd only for odd square n, so those get
@@ -180,9 +178,7 @@ def smallest_prime_tau(limit: int, *, table: TauTable | None = None) -> tuple[in
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if table is None:
-        table = delta_series(limit)
-    elif table.limit < limit:
+    if table.limit < limit:
         raise ValueError(f"table covers 1..{table.limit}, need 1..{limit}")
     for n in range(1, limit + 1):
         t = table[n]

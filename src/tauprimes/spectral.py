@@ -26,8 +26,8 @@ from typing import NamedTuple
 import mpmath
 from mpmath import libmp
 
-from .errors import BudgetExceededError, DegenerateDiscriminantError
-from .hecke import PrimeLocalData, tau_prime_powers
+from .errors import BudgetExceededError
+from .hecke import CLOSED_FORM_DIGITS, PrimeLocalData, local_angle, tau_prime_powers
 
 DEFAULT_MAX_K = 10_000
 
@@ -69,15 +69,6 @@ class RootSet:
     precision_digits: int
 
 
-@dataclass(frozen=True)
-class RationalApproximant:
-    """y/x in lowest terms with height max(|num|, den)."""
-
-    numerator: int
-    denominator: int
-    height: int
-
-
 class ApproximationQuality(NamedTuple):
     j_star: int
     distance: mpmath.mpf
@@ -85,16 +76,16 @@ class ApproximationQuality(NamedTuple):
     triggered: bool
 
 
-def _check_max_k(k: int, max_k: int) -> None:
-    if k > max_k:
-        raise BudgetExceededError(f"k = {k} exceeds the ceiling {max_k}")
+def _check_max_k(k: int) -> None:
+    if k > DEFAULT_MAX_K:
+        raise BudgetExceededError(f"k = {k} exceeds the ceiling {DEFAULT_MAX_K}")
 
 
-def even_index_poly(k: int, *, max_k: int = DEFAULT_MAX_K) -> EvenIndexPoly:
-    """Coefficients of G_k via the integer recurrence; k >= 0."""
+def even_index_poly(k: int) -> EvenIndexPoly:
+    """Coefficients of G_k via the integer recurrence; 0 <= k <= DEFAULT_MAX_K."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    _check_max_k(k, max_k)
+    _check_max_k(k)
     if k == 0:
         return EvenIndexPoly(0, (1,))
     prev = [1]            # G_0
@@ -155,7 +146,7 @@ def root_set(k: int, precision_digits: int | None = None) -> RootSet:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_max_k(k, DEFAULT_MAX_K)
+    _check_max_k(k)
     digits = _working_digits(k, precision_digits)
     n = 2 * k + 1
     with mpmath.workdps(digits):
@@ -194,30 +185,19 @@ def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:
         return 4 * mpmath.sin(a) * mpmath.sin(2 * a)
 
 
-def _local_angle(local: PrimeLocalData, digits: int):
-    if local.y_p >= 4 * local.x_p:
-        raise DegenerateDiscriminantError(
-            f"tau({local.p})^2 = {local.y_p} is not strictly below 4*p^11 = {4 * local.x_p}"
-        )
-    r = mpmath.sqrt(mpmath.mpf(local.x_p))
-    theta = mpmath.acos(mpmath.mpf(local.tau_p) / (2 * r))
-    return r, theta
-
-
-def cyclotomic_factor_magnitudes(
-    local: PrimeLocalData, n: int, precision_digits: int = 60
-) -> list[tuple[int, mpmath.mpf]]:
+def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[int, mpmath.mpf]]:
     """|Phi_d(alpha, beta)| for each divisor d > 1 of n, ascending in d.
 
-    alpha, beta are the conjugate local roots; the product over all listed
-    d equals |tau(p^{n-1})| because alpha^n - beta^n factors through the
+    alpha, beta are the conjugate local roots, taken from local_angle at
+    CLOSED_FORM_DIGITS digits; the product over all listed d equals
+    |tau(p^{n-1})| because alpha^n - beta^n factors through the
     homogenized cyclotomic polynomials.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     out = []
-    with mpmath.workdps(precision_digits):
-        r, theta = _local_angle(local, precision_digits)
+    with mpmath.workdps(CLOSED_FORM_DIGITS):
+        r, theta = local_angle(local)
         alpha = r * mpmath.exp(mpmath.mpc(0, theta))
         beta = mpmath.conj(alpha)
         for d in range(2, n + 1):
@@ -240,23 +220,16 @@ def growth_check(local: PrimeLocalData, k_max: int) -> list[tuple[int, bool]]:
     return [(k, abs(values[k]) > 2**k) for k in range(1, k_max + 1)]
 
 
-def reduce_ratio(y: int, x: int) -> RationalApproximant:
-    """y/x in lowest terms; x must be positive."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    f = Fraction(y, x)
-    return RationalApproximant(f.numerator, f.denominator, max(abs(f.numerator), f.denominator))
-
-
 def approximation_quality(
     local: PrimeLocalData, k: int, precision_digits: int | None = None
 ) -> ApproximationQuality:
     """How closely tau(p)^2 / p^11 approaches a root of G_k(1, y).
 
     Returns the 1-based index j* of the nearest root alpha_{j,k}, the
-    distance, and the height-based threshold 1 / (64 h^{5/2}); triggered
-    means the distance dips below the threshold, which would contradict
-    the count bounds if it happened often.
+    distance, and the threshold 1 / (64 h^{5/2}), where h = max(|a|, b) for
+    the ratio a/b in lowest terms; triggered means the distance dips below
+    the threshold, which would contradict the count bounds if it happened
+    often.
 
     alpha(t) = 4 cos^2(pi t/(2k+1)) falls strictly on [0, k + 1/2] and takes
     the ratio r at j_c = (2k+1)/pi * acos(sqrt(r)/2), with sqrt(r)/2 clamped
@@ -272,7 +245,8 @@ def approximation_quality(
     if k < 1:
         raise ValueError("k must be >= 1")
     digits = _working_digits(k, precision_digits)
-    approx = reduce_ratio(local.y_p, local.x_p)
+    approx = Fraction(local.y_p, local.x_p)
+    height = max(abs(approx.numerator), approx.denominator)
     with mpmath.workdps(digits):
         ratio = mpmath.mpf(approx.numerator) / approx.denominator
         j_c = (2 * k + 1) / mpmath.pi * mpmath.acos(min(mpmath.sqrt(ratio) / 2, 1))
@@ -281,5 +255,5 @@ def approximation_quality(
         distances = {j: abs(_alpha(j, k) - ratio) for j in window}
         j_star = min(distances, key=distances.__getitem__)
         distance = distances[j_star]
-        threshold = 1 / (64 * mpmath.power(approx.height, mpmath.mpf(5) / 2))
+        threshold = 1 / (64 * mpmath.power(height, mpmath.mpf(5) / 2))
         return ApproximationQuality(j_star, distance, threshold, bool(distance < threshold))

@@ -315,7 +315,7 @@ class Verifier:
                 values = _two_term_powers(p, local.tau_p, 19)
                 for n in range(2, 21):
                     prod = mpmath.mpf(1)
-                    for _, m in cyclotomic_factor_magnitudes(local, n, 60):
+                    for _, m in cyclotomic_factor_magnitudes(local, n):
                         prod *= m
                     exact = abs(values[n - 1])
                     compared += 1
@@ -334,7 +334,7 @@ class Verifier:
         for p in primes_up_to(50):
             local = PrimeLocalData(p, table[p])
             growth.extend(flag for _, flag in growth_check(local, 60))
-            residuals.extend(closed_form_residual(local, k, 60) for k in range(1, 31))
+            residuals.extend(closed_form_residual(local, k) for k in range(1, 31))
         resid_worst = max(residuals, default=math.inf)
         out.append(
             CheckResult(

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -50,7 +51,7 @@ def test_parse_big_int():
     assert parse_big_int("1e40") == 10**40
     assert parse_big_int("3*10^5") == 300000
     assert parse_big_int("10^12") == 10**12
-    for bad in ("1.5", "-3", "ten", "1e2.5"):
+    for bad in ("1.5", "-3", "ten", "1e2.5", "١٢٣", "１e3"):
         with pytest.raises(Exception):
             parse_big_int(bad)
     for numeral in ("7" * 5000, "7" * 5000 + "e3", "7" * 5000 + "*10^3"):
@@ -403,6 +404,7 @@ def test_commands_read_env_cache(capsys, tmp_path, monkeypatch):
 
 def test_usage_errors(capsys):
     assert run(capsys, "no-such-command")[0] == 2
+    assert run(capsys, "tau", "١٢٣")[0] == 2  # non-ASCII digits
     assert run(capsys, "series")[0] == 2  # missing --limit
     assert run(capsys, "bounds", "--N", "1.5")[0] == 2
     assert run(capsys)[0] == 2
@@ -411,6 +413,46 @@ def test_usage_errors(capsys):
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and out.strip().startswith("tauprimes")
+
+
+# Every parameter with a default of the public functions, by module.  A new
+# option, or a dropped one, is a decision: make it here as well.
+PUBLIC_OPTIONS = {
+    "bounds.admissible_k_range": {"dps": 50},
+    "bounds.attainable_prime_ceiling": {"dps": 50},
+    "bounds.bound_report": {"dps": 50},
+    "bounds.bvdp_count_bound": {"dps": 50},
+    "bounds.decade_margin": {"dps": 50},
+    "bounds.dirichlet_partial_sum": {"dps": 50},
+    "bounds.pi_bracket": {"dps": 50},
+    "bounds.positivity_crossover": {"m_max": 200, "dps": 50},
+    "bounds.progression_decade_floor": {"dps": 50},
+    "cache.table_for": {"cache_path": None},
+    "cache.tau_at": {"cache_path": None},
+    "hecke.hecke_terms": {"modulus": None},
+    "series.delta_series": {"ceiling": 200_000},
+    "spectral.approximation_quality": {"precision_digits": None},
+    "spectral.min_gap": {"precision_digits": None},
+    "spectral.root_set": {"precision_digits": None},
+}
+
+
+def test_public_options_are_pinned():
+    functions = {}
+    for name in tauprimes.__all__:
+        obj = getattr(tauprimes, name)
+        if inspect.ismodule(obj):
+            for attr, f in vars(obj).items():
+                if inspect.isfunction(f) and f.__module__ == obj.__name__ and not attr.startswith("_"):
+                    functions[f"{name}.{attr}"] = f
+        elif inspect.isfunction(obj):
+            functions[f"{obj.__module__.removeprefix('tauprimes.')}.{name}"] = obj
+    options = {}
+    for qualname, f in functions.items():
+        for param in inspect.signature(f).parameters.values():
+            if param.default is not param.empty:
+                options.setdefault(qualname, {})[param.name] = param.default
+    assert options == PUBLIC_OPTIONS
 
 
 def test_python_dash_m():

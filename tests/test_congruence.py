@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tauprimes.congruence import (
     Class23,
     Class23Tag,
-    ResidueSet23,
     allowed_residues_for_prime_value,
     classify_mod23,
     excluded_b_set,
@@ -91,7 +90,7 @@ def test_allowed_residues():
 def test_allowed_residues_meet_excluded_only_in_drift_term():
     excl = excluded_b_set()
     for k in range(1, 1001):
-        overlap = excl & allowed_residues_for_prime_value(k).residues
+        overlap = excl & allowed_residues_for_prime_value(k)
         assert overlap <= {(2 * k + 1) % 23}
 
 
@@ -103,15 +102,6 @@ def test_excluded_set_contents():
     for b in excl:
         k_min = min(k for k in range(1, 24) if (2 * k + 1) % 23 == b)
         assert k_min >= 3, (b, k_min)
-
-
-def test_residue_set_type():
-    with pytest.raises(ValueError):
-        ResidueSet23(frozenset())
-    with pytest.raises(ValueError):
-        ResidueSet23(frozenset({23}))
-    s = ResidueSet23(frozenset({5, 1}))
-    assert list(s) == [1, 5] and 5 in s and 2 not in s and len(s) == 2
 
 
 def test_parity_law_cases():

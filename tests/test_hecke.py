@@ -81,7 +81,7 @@ def test_closed_form_residual_small(table10k):
     for p in (2, 3, 5, 7):
         local = PrimeLocalData(p, table10k[p])
         for k in (1, 2, 5, 12):
-            assert closed_form_residual(local, k, 60) < 1e-30
+            assert closed_form_residual(local, k) < 1e-30
 
 
 def test_closed_form_degenerate():
@@ -96,13 +96,12 @@ def test_factorize_known():
     assert factorize(1).factors == ()
     assert factorize(63001).factors == ((251, 2),)
     assert factorize(2**39).factors == ((2, 39),)
-    assert factorize(2**40, budget=2**40).factors == ((2, 40),)
 
 
 def test_factorize_budget():
     with pytest.raises(BudgetExceededError):
         factorize(10**12 + 1)
-    assert factorize(10**12 + 1, budget=10**13).n == 10**12 + 1
+    assert factorize(10**12).factors == ((2, 12), (5, 12))
     with pytest.raises(ValueError):
         factorize(0)
 

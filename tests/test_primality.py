@@ -42,7 +42,6 @@ def test_small_values():
 def test_lehmer_value_is_prime():
     assert is_probable_prime(LEHMER_PRIME)
     assert is_probable_prime(-LEHMER_PRIME)
-    assert is_probable_prime(LEHMER_PRIME, extra_rounds=8)
 
 
 def test_curated_composites():

@@ -104,13 +104,9 @@ def test_table_too_small_rejected(table2k):
     with pytest.raises(ValueError):
         search_prime_tau(5000, 1, 10**9, table=table2k)
     with pytest.raises(ValueError):
-        search_prime_tau(0, 1, 10)
+        search_prime_tau(0, 1, 10, table=table2k)
     with pytest.raises(ValueError):
-        search_prime_tau(10, 1, -1)
-
-
-def test_internal_table_matches_supplied(table2k):
-    assert search_prime_tau(100, 2, 10**30) == search_prime_tau(100, 2, 10**30, table=table2k)
+        search_prime_tau(10, 1, -1, table=table2k)
 
 
 def test_smallest_prime_tau(table100k):
@@ -118,7 +114,7 @@ def test_smallest_prime_tau(table100k):
     assert smallest_prime_tau(63001, table=table100k) == (63001, LEHMER_VALUE)
     assert smallest_prime_tau(100_000, table=table100k) == (63001, LEHMER_VALUE)
     with pytest.raises(ValueError):
-        smallest_prime_tau(0)
+        smallest_prime_tau(0, table=table100k)
     with pytest.raises(ValueError):
         smallest_prime_tau(200_000, table=table100k)
 

@@ -1,5 +1,7 @@
 """Even-index polynomials, their roots, and the local spectral identities."""
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 import sympy
@@ -20,7 +22,6 @@ from tauprimes.spectral import (
     even_index_poly,
     growth_check,
     min_gap,
-    reduce_ratio,
     root_set,
 )
 
@@ -67,7 +68,7 @@ def test_poly_budget_and_validation():
     with pytest.raises(ValueError):
         even_index_poly(-1)
     with pytest.raises(BudgetExceededError):
-        even_index_poly(11, max_k=10)
+        even_index_poly(DEFAULT_MAX_K + 1)
     with pytest.raises(ValueError):
         EvenIndexPoly(2, (2, 0, 1))
 
@@ -192,7 +193,7 @@ def test_min_gap_is_least_root_gap():
 
 def test_cyclotomic_magnitudes(table10k):
     local = PrimeLocalData(2, table10k[2])
-    mags = cyclotomic_factor_magnitudes(local, 6, 60)
+    mags = cyclotomic_factor_magnitudes(local, 6)
     assert [d for d, _ in mags] == [2, 3, 6]
     with mpmath.workdps(60):
         # |Phi_2| = |alpha + beta| = |tau(2)|, |Phi_3| = |tau(4)|
@@ -217,15 +218,6 @@ def test_growth_check(table10k):
         assert all(flag for _, flag in report)
 
 
-def test_reduce_ratio():
-    r = reduce_ratio(576, 2048)
-    assert (r.numerator, r.denominator, r.height) == (9, 32, 32)
-    r = reduce_ratio(-6, 4)
-    assert (r.numerator, r.denominator, r.height) == (-3, 2, 3)
-    with pytest.raises(ValueError):
-        reduce_ratio(1, 0)
-
-
 def test_approximation_quality_p2_k1(table10k):
     local = PrimeLocalData(2, table10k[2])
     q = approximation_quality(local, 1, 50)
@@ -239,12 +231,13 @@ def test_approximation_quality_p2_k1(table10k):
 
 def root_scan(local, rs):
     """Reference: argmin over the whole root set, ties to the smaller j."""
-    approx = reduce_ratio(local.y_p, local.x_p)
+    approx = Fraction(local.y_p, local.x_p)
+    height = max(abs(approx.numerator), approx.denominator)
     with mpmath.workdps(rs.precision_digits):
         ratio = mpmath.mpf(approx.numerator) / approx.denominator
         distances = [abs(a - ratio) for a in rs.alphas]
         j = min(range(rs.k), key=distances.__getitem__)
-        threshold = 1 / (64 * mpmath.power(approx.height, mpmath.mpf(5) / 2))
+        threshold = 1 / (64 * mpmath.power(height, mpmath.mpf(5) / 2))
         return j + 1, distances[j], threshold, bool(distances[j] < threshold)
 
 
