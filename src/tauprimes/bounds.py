@@ -13,8 +13,10 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import mpmath
+from mpmath.libmp import from_int, mpf_add, mpf_log, mpf_mul, mpf_mul_int, mpf_pow_int, round_nearest
 
 DEFAULT_DPS = 50
+CROSSOVER_M_MAX = 200  # last decade M that positivity_crossover scans
 
 CAVEATS = (
     "the zero-free-region constant in the progression prime counts is ineffective; "
@@ -63,14 +65,24 @@ def bvdp_count_bound(k: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
     if k < 3:
         raise ValueError("k must be >= 3")
     with mpmath.workdps(dps):
-        return _bvdp_bound(k, mpmath.log(4))
+        return mpmath.mp.make_mpf(_bvdp_bounds(range(k, k + 1))[0])
 
 
-def _bvdp_bound(k: int, log4: mpmath.mpf) -> mpmath.mpf:
-    """bvdp_count_bound at the current working precision, given log 4."""
-    k_ = mpmath.mpf(k)
-    log_k = mpmath.log(k_)
-    return 4 * mpmath.log((k_ + 1) * log4) + 96000 * log_k**2 * mpmath.log(200 * log_k)
+def _bvdp_bounds(ks: range) -> list[tuple]:
+    """bvdp_count_bound over ks as raw libmp values at the working precision:
+    the libmp calls, order and rounding of the mpf operators on k_ = mpf(k),
+    log_k = log(k_): 4*log((k_+1)*log(4)) + 96000*log_k**2*log(200*log_k)."""
+    prec, rnd = mpmath.mp.prec, round_nearest
+    log4 = mpf_log(from_int(4), prec, rnd)
+    out = []
+    for k in ks:
+        k_ = from_int(k, prec, rnd)
+        log_k = mpf_log(k_, prec, rnd)
+        first = mpf_log(mpf_mul(mpf_add(k_, from_int(1), prec, rnd), log4, prec, rnd), prec, rnd)
+        second = mpf_mul_int(mpf_pow_int(log_k, 2, prec, rnd), 96000, prec, rnd)
+        third = mpf_log(mpf_mul_int(log_k, 200, prec, rnd), prec, rnd)
+        out.append(mpf_add(mpf_mul_int(first, 4, prec, rnd), mpf_mul(second, third, prec, rnd), prec, rnd))
+    return out
 
 
 def attainable_prime_ceiling(n: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
@@ -138,10 +150,10 @@ def decade_margin(m: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
         return progression_decade_floor(m, dps) - attainable_prime_ceiling(n, dps) * k_count
 
 
-def positivity_crossover(m_max: int = 200, dps: int = DEFAULT_DPS) -> int | None:
-    """Smallest M with decade_margin positive from M through m_max, or None."""
+def positivity_crossover(dps: int = DEFAULT_DPS) -> int | None:
+    """Smallest M with decade_margin positive from M through CROSSOVER_M_MAX, or None."""
     first = None
-    for m in range(1, m_max + 1):
+    for m in range(1, CROSSOVER_M_MAX + 1):
         if decade_margin(m, dps) > 0:
             if first is None:
                 first = m
@@ -154,8 +166,8 @@ def bound_report(n: int, dps: int = DEFAULT_DPS) -> BoundReport:
     """All bounds evaluated at ceiling N in one struct."""
     k_lo, k_hi = admissible_k_range(n, dps)
     with mpmath.workdps(dps):
-        log4 = mpmath.log(4)
-        per_k = {k: _bvdp_bound(k, log4) for k in range(k_lo, int(mpmath.ceil(k_hi)))}
+        window = range(k_lo, int(mpmath.ceil(k_hi)))
+        per_k = dict(zip(window, map(mpmath.mp.make_mpf, _bvdp_bounds(window))))
         m = mpmath.log10(mpmath.mpf(n)) - 1
         floor = progression_decade_floor(m, dps) if m >= 1 else mpmath.mpf("nan")
         n_ = mpmath.mpf(n)

@@ -5,6 +5,9 @@ degree-k integer polynomial G_k(x, y), monic in y, satisfying
 
     G_k = (y - 2x) G_{k-1} - x^2 G_{k-2},   G_0 = 1,  G_1 = y - x.
 
+In closed form x^i y^{k-i} has coefficient (-1)^i C(2k-i, i): Lucas's
+expansion of u_{2k+1}(tau(p), p^11) (E. Lucas, Amer. J. Math. 1 (1878)).
+
 Dehomogenized at x = 1, G_k(1, y) has the k simple real roots
 alpha_{j,k} = 4 cos^2(pi j / (2k+1)), j = 1..k, all in (0, 4).  The same
 local roots give |tau(p^{n-1})| as a product of cyclotomic factor
@@ -82,23 +85,16 @@ def _check_max_k(k: int) -> None:
 
 
 def even_index_poly(k: int) -> EvenIndexPoly:
-    """Coefficients of G_k via the integer recurrence; 0 <= k <= DEFAULT_MAX_K."""
+    """Coefficients of G_k, 0 <= k <= DEFAULT_MAX_K: c_i = (-1)^i C(2k-i, i)
+    by Lucas's expansion of u_{2k+1}(sqrt(y), x), each from the one before
+    by the exact ratio -(2k-2i)(2k-2i-1) / ((i+1)(2k-i)), in O(k) steps."""
     if k < 0:
         raise ValueError("k must be >= 0")
     _check_max_k(k)
-    if k == 0:
-        return EvenIndexPoly(0, (1,))
-    prev = [1]            # G_0
-    cur = [1, -1]         # G_1 = y - x
-    for m in range(2, k + 1):
-        nxt = [0] * (m + 1)
-        for i, c in enumerate(cur):
-            nxt[i] += c          # y * G_{m-1}
-            nxt[i + 1] -= 2 * c  # -2x * G_{m-1}
-        for i, c in enumerate(prev):
-            nxt[i + 2] -= c      # -x^2 * G_{m-2}
-        prev, cur = cur, nxt
-    return EvenIndexPoly(k, tuple(cur))
+    coeffs = [1]
+    for i in range(k):
+        coeffs.append(-coeffs[-1] * (2 * k - 2 * i) * (2 * k - 2 * i - 1) // ((i + 1) * (2 * k - i)))
+    return EvenIndexPoly(k, tuple(coeffs))
 
 
 def eval_even_poly(poly: EvenIndexPoly, x: int, y: int) -> int:

@@ -514,7 +514,7 @@ class Verifier:
                 for m in range(1, 30)
             )
         neg_ok = all(bnd.decade_margin(m) < 0 for m in range(6, 13))
-        crossover = bnd.positivity_crossover(200)
+        crossover = bnd.positivity_crossover()
         # The crossover is a sign change, not only the start of a positive run.
         sign_ok = (
             crossover is not None

@@ -140,7 +140,7 @@ def test_dirichlet_partial_sum():
 def test_decade_margin_and_crossover():
     for m in range(6, 13):
         assert decade_margin(m) < 0, m
-    crossover = positivity_crossover(160)
+    crossover = positivity_crossover()
     assert crossover is not None
     assert 12 < crossover < 160
     assert decade_margin(crossover) > 0
@@ -157,6 +157,20 @@ def test_bound_report_per_k_matches_bvdp_count_bound():
             assert list(report.per_k_bound) == list(window)
             for k in window:
                 assert report.per_k_bound[k] == bvdp_count_bound(k, dps), (n, dps, k)
+
+
+def test_bound_report_per_k_matches_mpf_expression():
+    # The per-k kernel works on raw libmp values; this is the expression it
+    # must reproduce bit for bit, written in mpf arithmetic as the reference.
+    for dps in (15, 30, 50):
+        report = bound_report(10**1000, dps)
+        with mpmath.workdps(dps):
+            log4 = mpmath.log(4)
+            for k in range(report.k_lo, int(mpmath.ceil(report.k_hi))):
+                k_ = mpmath.mpf(k)
+                log_k = mpmath.log(k_)
+                expected = 4 * mpmath.log((k_ + 1) * log4) + 96000 * log_k**2 * mpmath.log(200 * log_k)
+                assert report.per_k_bound[k] == expected, (dps, k)
 
 
 def test_bound_report_fields():

@@ -425,7 +425,7 @@ PUBLIC_OPTIONS = {
     "bounds.decade_margin": {"dps": 50},
     "bounds.dirichlet_partial_sum": {"dps": 50},
     "bounds.pi_bracket": {"dps": 50},
-    "bounds.positivity_crossover": {"m_max": 200, "dps": 50},
+    "bounds.positivity_crossover": {"dps": 50},
     "bounds.progression_decade_floor": {"dps": 50},
     "cache.table_for": {"cache_path": None},
     "cache.tau_at": {"cache_path": None},

@@ -50,10 +50,21 @@ def test_poly_against_symbolic_series():
 
 def test_poly_recurrence_independent_of_construction():
     # G_k = (y - 2x) G_{k-1} - x^2 G_{k-2} checked on raw integer points
-    for k in range(2, 12):
+    for k in [*range(2, 12), 50, 300]:
         gk, g1, g0 = even_index_poly(k), even_index_poly(k - 1), even_index_poly(k - 2)
         for x, y in ((1, 1), (2, 7), (-3, 5), (10, -4)):
             assert eval_even_poly(gk, x, y) == (y - 2 * x) * eval_even_poly(g1, x, y) - x * x * eval_even_poly(g0, x, y)
+
+
+def test_poly_at_the_ceiling():
+    k = DEFAULT_MAX_K
+    poly = even_index_poly(k)
+    fib_prev, fib = 0, 1  # F_0, F_1
+    for _ in range(2 * k):
+        fib_prev, fib = fib, fib_prev + fib
+    assert sum(abs(c) for c in poly.coeffs) == fib  # F_{2k+1}
+    assert eval_dehomogenized(poly, 4) == 2 * k + 1
+    assert eval_dehomogenized(poly, 0) == (-1) ** k
 
 
 def test_poly_is_monic_and_homogeneous():
