@@ -45,7 +45,6 @@ from .hecke import (
     Factorization,
     PrimeLocalData,
     closed_form_residual,
-    deligne_check,
     factorize,
     hecke_terms,
     tau_of_n,

@@ -7,6 +7,7 @@ unreadable caches), 2 usage error (unknown flags or malformed arguments).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -209,7 +210,10 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on the first call and shared by later ones: parsing leaves
+    it unchanged, and messages go to the sys.stdout/sys.stderr of the moment."""
     parser = argparse.ArgumentParser(
         prog="tauprimes",
         description="Exact Ramanujan tau tables, congruences, prime-value search, and bounds.",
@@ -278,9 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

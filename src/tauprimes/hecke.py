@@ -100,11 +100,6 @@ def tau_of_n(factorization: Factorization, tau_at_primes: Mapping[int, int]) -> 
     return total
 
 
-def deligne_check(local: PrimeLocalData) -> bool:
-    """Exact test of Deligne's bound tau(p)^2 <= 4 p^11."""
-    return local.y_p <= 4 * local.x_p
-
-
 def local_angle(local: PrimeLocalData) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(r, t) = (p^{11/2}, arccos(tau(p) / (2 p^{11/2}))) at the working precision.
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import mpmath
@@ -42,7 +42,31 @@ def envelope(command: str, params: dict[str, Any], payload: dict[str, Any]) -> d
 
 
 def to_json(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) + "\\n", byte for byte, without json's
+    pure-Python encoder, which any indent selects before Python 3.13.
+
+    Takes str-keyed dicts, lists, tuples, str, int, bool and None; anything
+    else, floats included, raises TypeError.
+    """
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value: Any, newline: str) -> str:
+    """value's JSON text; newline is "\\n" plus the indent of value's own line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def class23_to_dict(cls: Class23) -> dict[str, Any]:

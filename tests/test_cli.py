@@ -16,14 +16,17 @@ from hypothesis import strategies as st
 
 import tauprimes
 from tauprimes.cache import write_cache
-from tauprimes.cli import main, parse_big_int
+from tauprimes.cli import build_parser, main, parse_big_int
 from tauprimes.series import TauTable, delta_series
 from tauprimes.verify import Verifier
 
 LEHMER = "-80561663527802406257321747"
+SEARCH_2000 = ("search", "--pmax", "2000", "--kmax", "6", "--vmax", "1e40")
 
 # SHA-256 of report bytes ("generated_utc" line removed, as strip_timestamp
-# does), recorded before the nearest-root and per-k bound code was reworked.
+# does), recorded before the nearest-root and per-k bound code was reworked;
+# the search, congruence-table and census entries before to_json stopped
+# calling json.dumps.
 OUTPUT_DIGESTS = {
     ("bounds", "--N", "1e8"): "64f3d45d929812b3d4776bfbe311747603ea27e95c3997c485b99bf25dcc7da3",
     ("bounds", "--N", "1e1000"): "e83c38049625072b6041ecfd9dadce0d4abfb35115362efdca1fbdfac73c547f",
@@ -32,7 +35,14 @@ OUTPUT_DIGESTS = {
     # below the default 4k digits, and one far above it.
     ("poly", "--k", "120", "--roots", "--digits", "20"): "1dd09372191a6d4de2650f28f1f98cfa7f76d4132a38c81660dc4a7e46ea868b",
     ("poly", "--k", "40", "--roots", "--digits", "1500"): "88055bc099982b9ef1a3ad4fbadcb1f92f8c1adc2c4ff2008aab097298b0f369",
+    SEARCH_2000: "a5b42015123240fbd2cffaf37f9d45a0f3a74af898e2503b35e81b4628eab315",
+    # Bools, nulls and witness lists.
+    ("congruence-table", "--pmax", "300"): "9c6b55b878cb1cdca344eee6873161493a4766e323a246a218dcb6b60d1e2fe4",
+    # Reads SEARCH_2000's report from hits.json in the working directory, so
+    # the "from" parameter is fixed.
+    ("census", "--from", "hits.json", "--cap", "1e40"): "d50535344e95bad55b9ff26529a0dd6fb62b950499c00a7096f76964e4bb870c",
 }
+JSON_COMMANDS = ("bounds", "search", "congruence-table", "census")
 
 
 def run(capsys, *argv):
@@ -326,10 +336,12 @@ def test_bounds_report(capsys):
     assert list(doc["payload"]["per_k_bound"]) == [str(k) for k in range(3, 14)]
 
 
-def test_output_digests(capsys):
+def test_output_digests(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("hits.json").write_text(run(capsys, *SEARCH_2000)[1])
     for argv, digest in OUTPUT_DIGESTS.items():
         code, out, _ = run(capsys, *argv)
-        if argv[0] == "bounds":
+        if argv[0] in JSON_COMMANDS:
             out = strip_timestamp(out)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
@@ -413,6 +425,47 @@ def test_usage_errors(capsys):
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and out.strip().startswith("tauprimes")
+
+
+# main shares one parser between calls; nothing one call parses may leak into the next.
+def test_reused_parser_calls_are_independent(capsys, tmp_path, monkeypatch):
+    search = ("search", "--pmax", "300", "--kmax", "1", "--vmax", "1e27")
+    code, out, _ = run(capsys, *search, "--csv")
+    assert code == 0 and out.startswith("p,k,exponent,")
+    code, out, _ = run(capsys, *search)
+    assert code == 0 and json.loads(out)["command"] == "search"
+
+    # A cache with a wrong tau(7) shows whether a call read it.
+    monkeypatch.delenv("TAUPRIMES_CACHE_DIR", raising=False)
+    right = delta_series(10)
+    path = tmp_path / "wrong.cache"
+    write_cache(TauTable(right.coeffs[:6] + (right.coeffs[6] + 1,) + right.coeffs[7:]), path)
+    code, out, _ = run(capsys, "tau", "6048", "--cache", str(path))
+    assert code == 0 and out.strip() != "-241355667795691438080"
+    code, out, _ = run(capsys, "tau", "6048")
+    assert code == 0 and out.strip() == "-241355667795691438080"
+
+    assert run(capsys, "tau", "6048", "--no-such-flag")[0] == 2
+    assert run(capsys, "tau", "30") == (0, "-29211840\n", "")
+
+    first, second = run(capsys, "--version"), run(capsys, "--version")
+    assert first == second and first[0] == 0 and first[1].startswith("tauprimes")
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    for argv in (("tau", "30"), ("prime-power", "3", "2"), ("no-such-command",)):
+        run(capsys, *argv)
+    # One root parser and one parser per command, each made once.
+    assert built.count("tauprimes") == 1 and len(set(built)) == len(built) > 1
 
 
 # Every parameter with a default of the public functions, by module.  A new

@@ -10,8 +10,8 @@ from tauprimes.hecke import (
     Factorization,
     PrimeLocalData,
     closed_form_residual,
-    deligne_check,
     factorize,
+    local_angle,
     tau_of_n,
     tau_prime_power,
     tau_prime_powers,
@@ -68,13 +68,14 @@ def test_tau_of_n_missing_prime():
 
 
 def test_deligne_check():
-    assert deligne_check(PrimeLocalData(2, TAU2)) is True
-    assert deligne_check(PrimeLocalData(2, 91)) is False  # 91^2 = 8281 > 4*2^11 = 8192
-    assert deligne_check(PrimeLocalData(2, 90)) is True  # 8100 <= 8192
+    local_angle(PrimeLocalData(2, TAU2))
+    local_angle(PrimeLocalData(2, 90))  # 8100 < 8192
+    with pytest.raises(DegenerateDiscriminantError):
+        local_angle(PrimeLocalData(2, 91))  # 91^2 = 8281 > 4*2^11 = 8192
 
 
 def test_deligne_on_real_values(table10k):
-    assert all(deligne_check(PrimeLocalData(p, table10k[p])) for p in primes_up_to(10_000))
+    assert all(table10k[p] ** 2 < 4 * p**11 for p in primes_up_to(10_000))
 
 
 def test_closed_form_residual_small(table10k):
