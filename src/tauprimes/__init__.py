@@ -49,7 +49,6 @@ from .hecke import (
     hecke_terms,
     tau_of_n,
     tau_prime_power,
-    tau_prime_powers,
 )
 from .primality import is_probable_prime, primes_up_to
 from .search import (

@@ -1,6 +1,6 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 domain error (bad values, budget refusals,
+Exit codes: 0 success, 1 domain error (bad values, ceiling refusals,
 unreadable caches), 2 usage error (unknown flags or malformed arguments).
 """
 
@@ -95,8 +95,6 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     f = factorize(args.n)
     print(tau_of_n(f, tau_at((p for p, _ in f.factors), args.cache)))
     return 0

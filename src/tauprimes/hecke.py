@@ -11,14 +11,14 @@ the trigonometric closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, chain, cycle, islice
 from typing import Iterator, Mapping
 
 import mpmath
 
 from .errors import BudgetExceededError, DegenerateDiscriminantError, MissingPrimeError
+from .series import DEFAULT_LIMIT_CEILING
 
-DEFAULT_FACTOR_BUDGET = 10**12
 # Working precision of the trigonometric closed forms of the local roots.
 CLOSED_FORM_DIGITS = 60
 
@@ -83,13 +83,6 @@ def tau_prime_power(local: PrimeLocalData, k: int) -> int:
     return next(islice(hecke_terms(local.tau_p, local.x_p), k, None))
 
 
-def tau_prime_powers(local: PrimeLocalData, max_exponent: int) -> list[int]:
-    """[tau(p^0), tau(p^1), ..., tau(p^max_exponent)] in one pass."""
-    if max_exponent < 0:
-        raise ValueError("max_exponent must be >= 0")
-    return list(islice(hecke_terms(local.tau_p, local.x_p), max_exponent + 1))
-
-
 def tau_of_n(factorization: Factorization, tau_at_primes: Mapping[int, int]) -> int:
     """tau(n) assembled multiplicatively from tau at the prime factors."""
     total = 1
@@ -145,31 +138,32 @@ _WHEEL_GAPS = tuple(
 
 
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization of 1 <= n <= DEFAULT_FACTOR_BUDGET."""
+    """Factorization of n >= 1 by trial division up to DEFAULT_LIMIT_CEILING.
+
+    tau(p) is available only for primes p up to that ceiling, so trial
+    division stops there.  A cofactor it leaves above ceiling^2 has only
+    prime factors above the ceiling, and BudgetExceededError names n and the
+    ceiling; a smaller cofactor > 1 is prime.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > DEFAULT_FACTOR_BUDGET:
-        raise BudgetExceededError(f"n = {n} exceeds the factorization budget {DEFAULT_FACTOR_BUDGET}")
+    ceiling = DEFAULT_LIMIT_CEILING
     original = n
     factors = []
-    for p in _WHEEL_FIRST:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-    c = _WHEEL_RESIDUES[0]
-    gap_i = 0
-    while c * c <= n:
+    for c in chain(_WHEEL_FIRST, accumulate(cycle(_WHEEL_GAPS), initial=_WHEEL_RESIDUES[0])):
+        if c * c > n or c > ceiling:
+            break
         if n % c == 0:
             e = 0
             while n % c == 0:
                 n //= c
                 e += 1
             factors.append((c, e))
-        c += _WHEEL_GAPS[gap_i]
-        gap_i = (gap_i + 1) % len(_WHEEL_GAPS)
+    if n > ceiling * ceiling:
+        raise BudgetExceededError(
+            f"n = {original} has the factor {n}, whose prime factors all exceed the "
+            f"ceiling: tau(p) is computed only for primes p <= {ceiling}"
+        )
     if n > 1:
         factors.append((n, 1))
     return Factorization(original, tuple(factors))

@@ -76,9 +76,7 @@ class TauTable:
 def _refuse_over_ceiling(limit: int, ceiling: int) -> None:
     if limit > ceiling:
         raise BudgetExceededError(
-            f"series limit {limit} exceeds the ceiling of {ceiling} terms; the "
-            f"tauprimes command caps series at {DEFAULT_LIMIT_CEILING} terms, and "
-            "Python callers may pass delta_series(..., ceiling=) to allow more"
+            f"tau({limit}) is past the ceiling: tau(n) is computed only for n <= {ceiling}"
         )
 
 

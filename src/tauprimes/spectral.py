@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
@@ -30,7 +31,7 @@ import mpmath
 from mpmath import libmp
 
 from .errors import BudgetExceededError
-from .hecke import CLOSED_FORM_DIGITS, PrimeLocalData, local_angle, tau_prime_powers
+from .hecke import CLOSED_FORM_DIGITS, PrimeLocalData, hecke_terms, local_angle
 
 DEFAULT_MAX_K = 10_000
 
@@ -212,8 +213,8 @@ def growth_check(local: PrimeLocalData, k_max: int) -> list[tuple[int, bool]]:
     """Exact comparisons |tau(p^k)| > 2^k for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    values = tau_prime_powers(local, k_max)
-    return [(k, abs(values[k]) > 2**k) for k in range(1, k_max + 1)]
+    terms = islice(hecke_terms(local.tau_p, local.x_p), 1, k_max + 1)
+    return [(k, abs(t) > 2**k) for k, t in enumerate(terms, start=1)]
 
 
 def approximation_quality(

@@ -144,6 +144,17 @@ def test_tau_multiplicative_route(capsys):
     code, out, _ = run(capsys, "tau", "63001")
     assert code == 0 and out.strip() == LEHMER
 
+    # 10^e = 2^e 5^e lies far past any table; tau(p^e) by its own two-term step.
+    def local(tau_p, p, e):
+        prev, cur = 1, tau_p
+        for _ in range(e):
+            prev, cur = cur, tau_p * cur - p**11 * prev
+        return prev
+
+    for text, e in (("10^13", 13), ("1e40", 40)):
+        code, out, err = run(capsys, "tau", text)
+        assert (code, out, err) == (0, f"{local(-24, 2, e) * local(4830, 5, e)}\n", ""), text
+
 
 def test_tau_uses_cache(capsys, tmp_path):
     path = tmp_path / "t.cache"
@@ -182,9 +193,7 @@ def test_single_values_over_ceiling(capsys):
     for argv in (("tau", "200003"), ("prime-power", "200003", "1")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err == (
-            "error: series limit 200003 exceeds the ceiling of 200000 terms; the tauprimes "
-            "command caps series at 200000 terms, and Python callers may pass "
-            "delta_series(..., ceiling=) to allow more\n"
+            "error: tau(200003) is past the ceiling: tau(n) is computed only for n <= 200000\n"
         ), argv
 
 
@@ -212,10 +221,15 @@ def test_single_values_without_series(capsys, monkeypatch):
 
 
 def test_tau_domain_errors(capsys):
-    code, _, err = run(capsys, "tau", "0")
-    assert code == 1
-    code, _, err = run(capsys, "tau", "10^13")  # beyond the factorization budget
-    assert code == 1 and "budget" in err
+    assert run(capsys, "tau", "0") == (1, "", "error: n must be >= 1\n")
+    # Primes above 200000^2: trial division stops at the ceiling and refuses them.
+    for n in ("999999999989", "1000000000039"):
+        assert run(capsys, "tau", n) == (
+            1,
+            "",
+            f"error: n = {n} has the factor {n}, whose prime factors all exceed the ceiling: "
+            "tau(p) is computed only for primes p <= 200000\n",
+        ), n
 
 
 def test_prime_power(capsys):

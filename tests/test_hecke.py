@@ -1,5 +1,8 @@
 """Hecke arithmetic: local data, recurrence, closed form, factorization."""
 
+from itertools import islice
+from math import prod
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -11,12 +14,13 @@ from tauprimes.hecke import (
     PrimeLocalData,
     closed_form_residual,
     factorize,
+    hecke_terms,
     local_angle,
     tau_of_n,
     tau_prime_power,
-    tau_prime_powers,
 )
 from tauprimes.primality import primes_up_to
+from tauprimes.series import DEFAULT_LIMIT_CEILING, tau_values
 
 TAU2 = -24
 TAU3 = 252
@@ -41,7 +45,7 @@ def test_tau_prime_power_base_cases():
 
 def test_tau_prime_powers_matches_single_calls():
     local = PrimeLocalData(2, TAU2)
-    values = tau_prime_powers(local, 12)
+    values = list(islice(hecke_terms(local.tau_p, local.x_p), 13))
     assert values == [tau_prime_power(local, k) for k in range(13)]
 
 
@@ -100,10 +104,19 @@ def test_factorize_known():
 
 
 def test_factorize_budget():
-    with pytest.raises(BudgetExceededError):
-        factorize(10**12 + 1)
-    assert factorize(10**12).factors == ((2, 12), (5, 12))
-    with pytest.raises(ValueError):
+    # Trial division stops at the tau ceiling, not at any size of n.
+    assert DEFAULT_LIMIT_CEILING == 200_000
+    assert factorize(10**40).factors == ((2, 40), (5, 40))
+    assert factorize(199_999**2).factors == ((199_999, 2),)
+    # 10^12 + 1 = 73 * 137 * 99990001 factors, but tau(99990001) is past the ceiling.
+    assert factorize(10**12 + 1).factors == ((73, 1), (137, 1), (99_990_001, 1))
+    with pytest.raises(BudgetExceededError, match=r"^tau\(99990001\) is past the ceiling: .* n <= 200000$"):
+        tau_values([73, 137, 99_990_001])
+    # A cofactor above 200000^2 with no factor up to 200000 is refused.
+    for n in (10**12 + 39, 200_003**2, 6 * 200_003 * 200_009):
+        with pytest.raises(BudgetExceededError, match=rf"^n = {n} has the factor \d+, .* p <= 200000$"):
+            factorize(n)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
         factorize(0)
 
 
@@ -114,12 +127,28 @@ def test_factorization_validates():
         Factorization(12, ((2, 2), (3, 2)))  # wrong product
 
 
-@given(st.integers(min_value=1, max_value=10**9))
+SMALL_PRIMES = primes_up_to(3000)
+# Primes on either side of the ceiling 200000.
+NEAR_CEILING = [p for p in primes_up_to(201_000) if p > 199_000]
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=10**9),
+        st.builds(
+            lambda smooth, big: prod(smooth) * prod(big),
+            st.lists(st.sampled_from(SMALL_PRIMES), max_size=40),
+            st.lists(st.sampled_from(NEAR_CEILING), max_size=2),
+        ),
+    )
+)
 @settings(max_examples=150)
 def test_factorize_against_sympy(n):
+    want = sympy.factorint(n)
+    if prod(p**e for p, e in want.items() if p > DEFAULT_LIMIT_CEILING) > DEFAULT_LIMIT_CEILING**2:
+        with pytest.raises(BudgetExceededError):
+            factorize(n)
+        return
     got = factorize(n)
-    assert dict(got.factors) == sympy.factorint(n)
-    prod = 1
-    for p, e in got.factors:
-        prod *= p**e
-    assert prod == n
+    assert dict(got.factors) == want
+    assert prod(p**e for p, e in got.factors) == n
