@@ -1,16 +1,16 @@
 """Explicit count bounds for prime tau values in arithmetic progressions mod 23.
 
-All evaluations use natural logarithms at a configurable working precision
-(default 50 digits, comfortably past the 30 significant digits the report
-promises).  Constants that are ineffective in the underlying theorems are
-never given numeric values; they ride along as caveat strings.
+All evaluations use natural logarithms at the fixed working precision
+DEFAULT_DPS = 50 digits, comfortably past the 30 significant digits the
+report promises.  Constants that are ineffective in the underlying theorems
+are never given numeric values; they ride along as caveat strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import mpmath
 from mpmath.libmp import from_int, mpf_add, mpf_log, mpf_mul, mpf_mul_int, mpf_pow_int, round_nearest
@@ -48,23 +48,23 @@ class BoundReport:
     density: Fraction
     sqrt_sample_ceiling: mpmath.mpf
     census_sample_ceiling: mpmath.mpf
-    caveats: tuple[str, ...] = CAVEATS
+    caveats: ClassVar[tuple[str, ...]] = CAVEATS
 
 
-def admissible_k_range(n: int, dps: int = DEFAULT_DPS) -> tuple[int, mpmath.mpf]:
+def admissible_k_range(n: int) -> tuple[int, mpmath.mpf]:
     """(3, log N / (2 log 2)): the k window where tau(p^{2k}) can be prime below N."""
     if n < 2:
         raise ValueError("N must be >= 2")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         return 3, mpmath.log(n) / (2 * mpmath.log(2))
 
 
-def bvdp_count_bound(k: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def bvdp_count_bound(k: int) -> mpmath.mpf:
     """4 log((k+1) log 4) + 96000 (log k)^2 log(200 log k), the per-k cap on
     rational approximations close enough to a root of G_k(1, y); k >= 3."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         return mpmath.mp.make_mpf(_bvdp_bounds(range(k, k + 1))[0])
 
 
@@ -85,33 +85,33 @@ def _bvdp_bounds(ks: range) -> list[tuple]:
     return out
 
 
-def attainable_prime_ceiling(n: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def attainable_prime_ceiling(n: int) -> mpmath.mpf:
     """N^{9/10} log N / (2 log 2): cap on progression primes in [-N, N] that
     can occur as tau(p^{2k}) over the admissible k window."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         n_ = mpmath.mpf(n)
         return mpmath.power(n_, mpmath.mpf(9) / 10) * mpmath.log(n_) / (2 * mpmath.log(2))
 
 
-def progression_decade_floor(m, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def progression_decade_floor(m) -> mpmath.mpf:
     """7 * 10^M / (11 log 10 (M+1)): floor on signed primes of one fixed
     nonzero class mod 23 with 10^M <= |l| <= 10^{M+1}; M >= 1."""
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         m_ = mpmath.mpf(m)
         if m_ < 1:
             raise ValueError("M must be >= 1")
         return 7 * mpmath.power(10, m_) / (11 * mpmath.log(10) * (m_ + 1))
 
 
-def pi_bracket(x, dps: int = DEFAULT_DPS) -> tuple[mpmath.mpf, mpmath.mpf]:
+def pi_bracket(x) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(0.9, 1.1) * x / (11 log x) around the signed-class prime count up to x.
 
     Holds for x beyond an ineffective threshold; reported unconditionally
     with that caveat attached at the report level.
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         x_ = mpmath.mpf(x)
         if x_ <= 1:
             raise ValueError("x must be > 1")
@@ -124,9 +124,9 @@ def density_fraction() -> Fraction:
     return Fraction(18, 22)
 
 
-def dirichlet_partial_sum(primes: Sequence[int], s, dps: int = DEFAULT_DPS) -> DirichletSum:
+def dirichlet_partial_sum(primes: Sequence[int], s) -> DirichletSum:
     """sum 1/|p|^s over signed primes, with the s->1 normalizer 2 log(1/(s-1))."""
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         s_ = mpmath.mpf(s)
         if s_ <= 1:
             raise ValueError("s must be > 1")
@@ -140,21 +140,21 @@ def dirichlet_partial_sum(primes: Sequence[int], s, dps: int = DEFAULT_DPS) -> D
         return DirichletSum(total, normalizer, ratio)
 
 
-def decade_margin(m: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def decade_margin(m: int) -> mpmath.mpf:
     """Floor minus ceiling at N = 10^{M+1}: positive once the progression
     supply provably outruns the attainable tau values."""
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         n = 10 ** (m + 1)
-        _, k_hi = admissible_k_range(n, dps)
+        _, k_hi = admissible_k_range(n)
         k_count = mpmath.ceil(k_hi) - 3
-        return progression_decade_floor(m, dps) - attainable_prime_ceiling(n, dps) * k_count
+        return progression_decade_floor(m) - attainable_prime_ceiling(n) * k_count
 
 
-def positivity_crossover(dps: int = DEFAULT_DPS) -> int | None:
+def positivity_crossover() -> int | None:
     """Smallest M with decade_margin positive from M through CROSSOVER_M_MAX, or None."""
     first = None
     for m in range(1, CROSSOVER_M_MAX + 1):
-        if decade_margin(m, dps) > 0:
+        if decade_margin(m) > 0:
             if first is None:
                 first = m
         else:
@@ -162,14 +162,14 @@ def positivity_crossover(dps: int = DEFAULT_DPS) -> int | None:
     return first
 
 
-def bound_report(n: int, dps: int = DEFAULT_DPS) -> BoundReport:
+def bound_report(n: int) -> BoundReport:
     """All bounds evaluated at ceiling N in one struct."""
-    k_lo, k_hi = admissible_k_range(n, dps)
-    with mpmath.workdps(dps):
+    k_lo, k_hi = admissible_k_range(n)
+    with mpmath.workdps(DEFAULT_DPS):
         window = range(k_lo, int(mpmath.ceil(k_hi)))
         per_k = dict(zip(window, map(mpmath.mp.make_mpf, _bvdp_bounds(window))))
         m = mpmath.log10(mpmath.mpf(n)) - 1
-        floor = progression_decade_floor(m, dps) if m >= 1 else mpmath.mpf("nan")
+        floor = progression_decade_floor(m) if m >= 1 else mpmath.mpf("nan")
         n_ = mpmath.mpf(n)
         sqrt_ceiling = mpmath.sqrt(n_)
         census_ceiling = sqrt_ceiling + mpmath.power(n_, mpmath.mpf(3) / 11)
@@ -178,9 +178,9 @@ def bound_report(n: int, dps: int = DEFAULT_DPS) -> BoundReport:
         k_lo=k_lo,
         k_hi=k_hi,
         per_k_bound=per_k,
-        attainable_ceiling=attainable_prime_ceiling(n, dps),
+        attainable_ceiling=attainable_prime_ceiling(n),
         progression_floor=floor,
-        bracket=pi_bracket(n, dps),
+        bracket=pi_bracket(n),
         density=density_fraction(),
         sqrt_sample_ceiling=sqrt_ceiling,
         census_sample_ceiling=census_ceiling,

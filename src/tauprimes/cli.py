@@ -80,7 +80,7 @@ def format_poly(poly: EvenIndexPoly) -> str:
 
 
 def _require_prime(p: int) -> None:
-    if p < 2 or not is_probable_prime(p):
+    if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
 
 
@@ -102,8 +102,6 @@ def _cmd_tau(args) -> int:
 
 def _cmd_prime_power(args) -> int:
     _require_prime(args.p)
-    if args.k < 0:
-        raise ValueError("k must be >= 0")
     print(tau_prime_power(PrimeLocalData(args.p, tau_at([args.p])[args.p]), args.k))
     return 0
 
@@ -252,9 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=parse_big_int, required=True)
     p.add_argument("--kmax", type=parse_big_int, required=True)
     p.add_argument("--vmax", type=parse_big_int, required=True)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON envelope (default)")
-    fmt.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true", help="CSV rows instead of the JSON envelope")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("smallest-prime", help="first n with tau(n) prime")

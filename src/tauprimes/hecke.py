@@ -142,8 +142,10 @@ def factorize(n: int) -> Factorization:
 
     tau(p) is available only for primes p up to that ceiling, so trial
     division stops there.  A cofactor it leaves above ceiling^2 has only
-    prime factors above the ceiling, and BudgetExceededError names n and the
-    ceiling; a smaller cofactor > 1 is prime.
+    prime factors above the ceiling, and BudgetExceededError names that
+    cofactor and the ceiling, not n: coprime to 10, the cofactor divides a
+    in n = a*10^e, so it prints within Python's int->str limit even where n
+    does not.  A smaller cofactor > 1 is prime.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -161,7 +163,7 @@ def factorize(n: int) -> Factorization:
             factors.append((c, e))
     if n > ceiling * ceiling:
         raise BudgetExceededError(
-            f"n = {original} has the factor {n}, whose prime factors all exceed the "
+            f"n has the factor {n}, whose prime factors all exceed the "
             f"ceiling: tau(p) is computed only for primes p <= {ceiling}"
         )
     if n > 1:

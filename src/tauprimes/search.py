@@ -24,12 +24,12 @@ verdict rests on the law; the law only picks which q to try.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import islice
 from math import gcd, isqrt, prod
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .congruence import (
     Class23,
@@ -78,7 +78,7 @@ class CensusReport:
     counts: dict[int, int]
     excluded_class_hits: tuple[SearchHit, ...]
     footnote_anomalies: tuple[SearchHit, ...]
-    note: str = field(default=_SAMPLE_NOTE)
+    note: ClassVar[str] = _SAMPLE_NOTE
 
     @property
     def total(self) -> int:

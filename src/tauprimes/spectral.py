@@ -217,9 +217,7 @@ def growth_check(local: PrimeLocalData, k_max: int) -> list[tuple[int, bool]]:
     return [(k, abs(t) > 2**k) for k, t in enumerate(terms, start=1)]
 
 
-def approximation_quality(
-    local: PrimeLocalData, k: int, precision_digits: int | None = None
-) -> ApproximationQuality:
+def approximation_quality(local: PrimeLocalData, k: int) -> ApproximationQuality:
     """How closely tau(p)^2 / p^11 approaches a root of G_k(1, y).
 
     Returns the 1-based index j* of the nearest root alpha_{j,k}, the
@@ -241,7 +239,7 @@ def approximation_quality(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    digits = _working_digits(k, precision_digits)
+    digits = _working_digits(k, None)
     approx = Fraction(local.y_p, local.x_p)
     height = max(abs(approx.numerator), approx.denominator)
     with mpmath.workdps(digits):

@@ -470,7 +470,7 @@ class Verifier:
             def agree(value, alt):
                 return abs(value - alt) / alt < mpmath.mpf(10) ** -29
 
-            _, k_hi = bnd.admissible_k_range(64, 100)
+            _, k_hi = bnd.admissible_k_range(64)
             checks.append(abs(k_hi - 3) < mpmath.mpf(10) ** -90)
             for n in (10**6, 10**9, 10**12):
                 k_lo, k_hi = bnd.admissible_k_range(n)
@@ -483,14 +483,14 @@ class Verifier:
                         96000 * mpmath.log(k_) ** 2 * (mpmath.log(200) + mpmath.log(mpmath.log(k_))),
                     ]
                 )
-                checks.append(agree(bnd.bvdp_count_bound(k, 50), alt))
+                checks.append(agree(bnd.bvdp_count_bound(k), alt))
             for n in (10**6, 10**9, 10**12):
                 ln_n = mpmath.log(n)
                 alt = mpmath.exp(mpmath.mpf(9) / 10 * ln_n) * ln_n / mpmath.log(4)
-                checks.append(agree(bnd.attainable_prime_ceiling(n, 50), alt))
+                checks.append(agree(bnd.attainable_prime_ceiling(n), alt))
             for m in range(1, 13):
                 alt = 7 * mpmath.mpf(10) ** m / (11 * mpmath.log(10) * (m + 1))
-                checks.append(agree(bnd.progression_decade_floor(m, 50), alt))
+                checks.append(agree(bnd.progression_decade_floor(m), alt))
             lower, upper = bnd.pi_bracket(10**6)
             center = mpmath.mpf(10**6) / (11 * mpmath.log(10**6))
             checks.append(agree(lower, mpmath.mpf("0.9") * center))

@@ -6,6 +6,8 @@ import mpmath
 import pytest
 
 from tauprimes.bounds import (
+    DEFAULT_DPS,
+    _bvdp_bounds,
     admissible_k_range,
     attainable_prime_ceiling,
     bound_report,
@@ -20,7 +22,7 @@ from tauprimes.bounds import (
 
 
 def test_k_range_exact_at_64():
-    lo, hi = admissible_k_range(64, 60)
+    lo, hi = admissible_k_range(64)
     assert lo == 3
     with mpmath.workdps(60):
         assert abs(hi - 3) < mpmath.mpf(10) ** -55
@@ -30,16 +32,16 @@ def test_k_range_exact_at_64():
 
 def test_k_range_against_log2():
     for n in (10**6, 10**12, 17**9):
-        _, hi = admissible_k_range(n, 60)
+        _, hi = admissible_k_range(n)
         with mpmath.workdps(80):
             alt = mpmath.log(n, 2) / 2
-            assert abs(hi - alt) / alt < mpmath.mpf(10) ** -55
+            assert abs(hi - alt) / alt < mpmath.mpf(10) ** -45
 
 
 def test_bvdp_count_bound_values():
     with mpmath.workdps(80):
         for k in (3, 7, 50, 10**4):
-            got = bvdp_count_bound(k, 60)
+            got = bvdp_count_bound(k)
             k_ = mpmath.mpf(k)
             alt = mpmath.fsum(
                 [
@@ -81,7 +83,7 @@ def test_bvdp_growth_is_polylog():
 def test_attainable_ceiling():
     with mpmath.workdps(80):
         for n in (1, 2, 10**6):
-            got = attainable_prime_ceiling(n, 60)
+            got = attainable_prime_ceiling(n)
             n_ = mpmath.mpf(n)
             alt = mpmath.exp(mpmath.mpf(9) / 10 * mpmath.log(n_)) * mpmath.log(n_) / mpmath.log(4) if n > 1 else 0
             if n == 1:
@@ -94,7 +96,7 @@ def test_attainable_ceiling():
 
 def test_progression_floor():
     with mpmath.workdps(80):
-        got = progression_decade_floor(7, 60)
+        got = progression_decade_floor(7)
         alt = 7 * mpmath.mpf(10) ** 7 / (11 * mpmath.log(10) * 8)
         assert abs(got - alt) / alt < mpmath.mpf(10) ** -29
     with pytest.raises(ValueError):
@@ -104,13 +106,13 @@ def test_progression_floor():
 def test_progression_floor_decade_ratio():
     with mpmath.workdps(60):
         for m in range(1, 40):
-            ratio = progression_decade_floor(m + 1, 60) / progression_decade_floor(m, 60)
+            ratio = progression_decade_floor(m + 1) / progression_decade_floor(m)
             expected = mpmath.mpf(10 * (m + 1)) / (m + 2)
-            assert abs(ratio - expected) < mpmath.mpf(10) ** -50
+            assert abs(ratio - expected) < mpmath.mpf(10) ** -40
 
 
 def test_pi_bracket_shape():
-    lower, upper = pi_bracket(10**6, 60)
+    lower, upper = pi_bracket(10**6)
     with mpmath.workdps(80):
         center = mpmath.mpf(10**6) / (11 * mpmath.log(10**6))
         assert abs(lower - mpmath.mpf(9) / 10 * center) / center < mpmath.mpf(10) ** -29
@@ -124,12 +126,12 @@ def test_density_fraction():
 
 
 def test_dirichlet_partial_sum():
-    ds = dirichlet_partial_sum([3, -3], 2, 50)
+    ds = dirichlet_partial_sum([3, -3], 2)
     with mpmath.workdps(50):
         assert abs(ds.partial_sum - mpmath.mpf(2) / 9) < mpmath.mpf(10) ** -45
         assert ds.normalizer == 0
         assert ds.ratio == mpmath.inf
-    near1 = dirichlet_partial_sum([3, -3, 5], mpmath.mpf("1.01"), 50)
+    near1 = dirichlet_partial_sum([3, -3, 5], mpmath.mpf("1.01"))
     assert near1.normalizer > 0 and near1.ratio > 0
     with pytest.raises(ValueError):
         dirichlet_partial_sum([3], 1)
@@ -151,26 +153,29 @@ def test_decade_margin_and_crossover():
 
 def test_bound_report_per_k_matches_bvdp_count_bound():
     for n in (10**8, 10**300):
-        for dps in (30, 50):
-            report = bound_report(n, dps)
-            window = range(report.k_lo, int(mpmath.ceil(report.k_hi)))
-            assert list(report.per_k_bound) == list(window)
-            for k in window:
-                assert report.per_k_bound[k] == bvdp_count_bound(k, dps), (n, dps, k)
+        report = bound_report(n)
+        window = range(report.k_lo, int(mpmath.ceil(report.k_hi)))
+        assert list(report.per_k_bound) == list(window)
+        for k in window:
+            assert report.per_k_bound[k] == bvdp_count_bound(k), (n, k)
 
 
 def test_bound_report_per_k_matches_mpf_expression():
     # The per-k kernel works on raw libmp values; this is the expression it
     # must reproduce bit for bit, written in mpf arithmetic as the reference.
-    for dps in (15, 30, 50):
-        report = bound_report(10**1000, dps)
+    # bound_report runs it at DEFAULT_DPS; the kernel itself at any precision.
+    report = bound_report(10**1000)
+    window = range(report.k_lo, int(mpmath.ceil(report.k_hi)))
+    for dps in (15, 30, DEFAULT_DPS):
         with mpmath.workdps(dps):
             log4 = mpmath.log(4)
-            for k in range(report.k_lo, int(mpmath.ceil(report.k_hi))):
+            for k, raw in zip(window, _bvdp_bounds(window)):
                 k_ = mpmath.mpf(k)
                 log_k = mpmath.log(k_)
                 expected = 4 * mpmath.log((k_ + 1) * log4) + 96000 * log_k**2 * mpmath.log(200 * log_k)
-                assert report.per_k_bound[k] == expected, (dps, k)
+                assert mpmath.mp.make_mpf(raw) == expected, (dps, k)
+                if dps == DEFAULT_DPS:
+                    assert report.per_k_bound[k] == expected, k
 
 
 def test_bound_report_fields():

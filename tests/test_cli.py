@@ -227,9 +227,16 @@ def test_tau_domain_errors(capsys):
         assert run(capsys, "tau", n) == (
             1,
             "",
-            f"error: n = {n} has the factor {n}, whose prime factors all exceed the ceiling: "
+            f"error: n has the factor {n}, whose prime factors all exceed the ceiling: "
             "tau(p) is computed only for primes p <= 200000\n",
         ), n
+
+
+def test_tau_refusal_past_the_str_limit(capsys):
+    # n has over 4300 digits, more than Python turns into a numeral; the refused cofactor has 12.
+    code, out, err = run(capsys, "tau", "999999999989*10^5000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: n has the factor 999999999989,") and err.endswith("p <= 200000\n")
 
 
 def test_prime_power(capsys):
@@ -325,8 +332,9 @@ def test_search_csv(capsys):
 
 
 def test_search_flag_conflict(capsys):
-    code, _, _ = run(capsys, "search", "--pmax", "10", "--kmax", "1", "--vmax", "10", "--csv", "--json")
-    assert code == 2
+    # JSON is the only other format, so there is no --json flag to conflict with --csv.
+    code, _, err = run(capsys, "search", "--pmax", "10", "--kmax", "1", "--vmax", "10", "--json")
+    assert code == 2 and "unrecognized arguments: --json" in err
 
 
 def test_smallest_prime(capsys, cache_file_100k):
@@ -485,20 +493,10 @@ def test_parser_built_once(capsys, monkeypatch):
 # Every parameter with a default of the public functions, by module.  A new
 # option, or a dropped one, is a decision: make it here as well.
 PUBLIC_OPTIONS = {
-    "bounds.admissible_k_range": {"dps": 50},
-    "bounds.attainable_prime_ceiling": {"dps": 50},
-    "bounds.bound_report": {"dps": 50},
-    "bounds.bvdp_count_bound": {"dps": 50},
-    "bounds.decade_margin": {"dps": 50},
-    "bounds.dirichlet_partial_sum": {"dps": 50},
-    "bounds.pi_bracket": {"dps": 50},
-    "bounds.positivity_crossover": {"dps": 50},
-    "bounds.progression_decade_floor": {"dps": 50},
     "cache.table_for": {"cache_path": None},
     "cache.tau_at": {"cache_path": None},
     "hecke.hecke_terms": {"modulus": None},
     "series.delta_series": {"ceiling": 200_000},
-    "spectral.approximation_quality": {"precision_digits": None},
     "spectral.min_gap": {"precision_digits": None},
     "spectral.root_set": {"precision_digits": None},
 }
@@ -520,6 +518,33 @@ def test_public_options_are_pinned():
             if param.default is not param.empty:
                 options.setdefault(qualname, {})[param.name] = param.default
     assert options == PUBLIC_OPTIONS
+
+
+# Each subcommand's flags and positionals ("" is the top level), so a new one is a deliberate edit.
+CLI_OPTIONS = {
+    "": ("--version",),
+    "series": ("--limit", "--out"),
+    "tau": ("n", "--cache"),
+    "prime-power": ("p", "k"),
+    "classify": ("p",),
+    "congruence-table": ("--pmax",),
+    "poly": ("--k", "--roots", "--digits"),
+    "search": ("--pmax", "--kmax", "--vmax", "--csv"),
+    "smallest-prime": ("--limit", "--cache"),
+    "bounds": ("--N",),
+    "census": ("--from", "--cap"),
+    "verify": ("--suite", "--cache"),
+}
+
+
+def test_cli_options_are_pinned():
+    def options(parser):
+        skip = (argparse._HelpAction, argparse._SubParsersAction)
+        return tuple(s for a in parser._actions if not isinstance(a, skip) for s in a.option_strings or [a.dest])
+
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {"": options(parser), **{name: options(p) for name, p in sub.choices.items()}} == CLI_OPTIONS
 
 
 def test_python_dash_m():

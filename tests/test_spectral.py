@@ -231,7 +231,7 @@ def test_growth_check(table10k):
 
 def test_approximation_quality_p2_k1(table10k):
     local = PrimeLocalData(2, table10k[2])
-    q = approximation_quality(local, 1, 50)
+    q = approximation_quality(local, 1)
     assert q.j_star == 1
     with mpmath.workdps(50):
         assert abs(q.distance - mpmath.mpf(23) / 32) < mpmath.mpf(10) ** -45
@@ -256,11 +256,9 @@ def test_approximation_quality_matches_root_scan(table2k):
     small = [PrimeLocalData(p, table2k[p]) for p in sympy.primerange(2, 51)]
     large = [PrimeLocalData(p, table2k[p]) for p in (2, 251, 1999)]
     for k, locals_ in [*((k, small) for k in range(1, 41)), (100, large), (300, large)]:
-        for digits in (None, 20, 60, 200):
-            rs = root_set(k, digits)
-            for local in locals_:
-                got = tuple(approximation_quality(local, k, digits))
-                assert got == root_scan(local, rs), (local.p, k, digits)
+        rs = root_set(k)
+        for local in locals_:
+            assert tuple(approximation_quality(local, k)) == root_scan(local, rs), (local.p, k)
 
 
 def test_approximation_quality_outside_deligne():
