@@ -20,16 +20,41 @@ and an odd value is screened in this order:
 
 Every kill in steps 2 and 3 is a proper divisor of the value, so no
 verdict rests on the law; the law only picks which q to try.
+
+search_prime_tau runs in three phases:
+
+ 1. the parent runs each row's recurrence and collects every in-cap point
+    as (p, k, row), the row cut after its last in-cap k;
+ 2. the verdicts.  Only odd values of 2^64 and above pass screen 1, so
+    only they can reach a modular power past 64 bits.  When at least two cores are
+    usable (os.sched_getaffinity), only the main thread is alive and
+    those values weigh enough (_FORK_MIN_WORK), the parent builds the
+    sieve products they need, sorts them by bit length and deals them in
+    turn to itself and to one forked child per extra core.  A child
+    writes one byte per point to a pipe and leaves by os._exit; the
+    parent reaps every child.  A child that exits non-zero or short makes
+    the search raise RuntimeError; if the parent's own share raises, it
+    kills and reaps its children first; a share whose pipe or fork fails
+    is done by the parent.  Otherwise, and on platforms without
+    sched_getaffinity, the parent decides every point itself;
+ 3. the parent builds the hits in (p, k) order and checks each
+    probable-prime hit mod 23.
+
+The values, verdicts and hits are the same on either route.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import islice
 from math import gcd, isqrt, prod
-from typing import ClassVar, Sequence
+from typing import BinaryIO, ClassVar, Sequence
 
 from .congruence import (
     Class23,
@@ -56,6 +81,18 @@ class Verdict(Enum):
     COMPOSITE = "Composite"
     PLUS_MINUS_TWO = "PlusMinusTwo"
     ZERO = "Zero"
+
+
+_VERDICTS = tuple(Verdict)
+_CODES = {verdict: code for code, verdict in enumerate(_VERDICTS)}
+
+# Split the verdicts only when the odd values of 2^64 and above, the only
+# ones that can reach a modular power past 64 bits, weigh this much: the sum of their
+# squared bit lengths.  On a 2-core host their verdicts take 0.4-0.8 ns per
+# unit, about 8 ms here, and a fork round trip (fork, a one-byte pipe
+# write, read and reap) takes 1.6-2.4 ms, so a split saves at least the
+# round trip; the 6-7 ms batches below it ran as fast or slower forked.
+_FORK_MIN_WORK = 15_000_000
 
 
 @dataclass(frozen=True)
@@ -113,8 +150,9 @@ def index_divisor(row: Sequence[int]) -> int:
     return divisor if divisor < value else 1
 
 
-def _verdict_for(row: list[int]) -> Verdict:
-    value = abs(row[-1])
+def _verdict_for(row: list[int], k: int) -> Verdict:
+    """The verdict on row[k], where row holds tau(p^0), tau(p^2), ... of one p."""
+    value = abs(row[k])
     if value == 0:
         return Verdict.ZERO
     if value == 2:
@@ -124,8 +162,100 @@ def _verdict_for(row: list[int]) -> Verdict:
     if value < 2**64:
         prime = is_probable_prime(value)
     else:
-        prime = not has_small_factor(value) and index_divisor(row) == 1 and passes_strong_tests(value)
+        prime = not has_small_factor(value) and index_divisor(row[: k + 1]) == 1 and passes_strong_tests(value)
     return Verdict.PROBABLE_PRIME if prime else Verdict.COMPOSITE
+
+
+# A point is (p, k, row): row is p's list [tau(p^0), tau(p^2), ...], shared
+# by every point of that p and cut after its last in-cap k.
+_Point = tuple[int, int, list[int]]
+
+
+def _verdict_codes(points: list[_Point], share: list[int]) -> bytes:
+    """One byte per index in share: the position of its verdict in _VERDICTS."""
+    return bytes(_CODES[_verdict_for(points[i][2], points[i][1])] for i in share)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (nor, on some platforms, fork)
+        return 1
+
+
+def _fork_share(points: list[_Point], share: list[int]) -> tuple[int, BinaryIO]:
+    """Fork a child that writes the verdict codes of share to a pipe; (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            view = memoryview(_verdict_codes(points, share))
+            while view:
+                view = view[os.write(write_fd, view) :]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _verdicts(points: list[_Point]) -> list[Verdict]:
+    """The verdict of every point, split across the usable cores when that pays.
+
+    Only odd values of 2^64 and above can reach a modular power past 64
+    bits, so only they are dealt out: sorted by bit length and dealt in turn, the shares
+    carry near-equal work.  One child per share but the last, which the
+    parent keeps with every cheap point.
+    """
+    bits = [row[k].bit_length() if row[k] & 1 else 0 for _, k, row in points]
+    heavy = sorted((i for i, b in enumerate(bits) if b > 64), key=bits.__getitem__, reverse=True)
+    workers = min(_usable_cores(), len(heavy))
+    if workers < 2 or threading.active_count() > 1 or sum(bits[i] ** 2 for i in heavy) < _FORK_MIN_WORK:
+        return [_verdict_for(row, k) for _, k, row in points]
+    # Children inherit the sieve products rather than each building its own.
+    for n in {2 * points[i][1] + 1 for i in heavy}:
+        if is_probable_prime(n):
+            _sieve_product(n)
+    shares = [heavy[j::workers] for j in range(workers)]
+    own = [i for i, b in enumerate(bits) if b <= 64] + shares.pop()
+    codes = bytearray(len(points))
+    children: list[tuple[int, BinaryIO, list[int]]] = []  # forked, not yet reaped
+    try:
+        for share in shares:
+            try:
+                children.append((*_fork_share(points, share), share))
+            except OSError:
+                own += share  # no pipe or no fork: the parent does this share too
+        for i, code in zip(own, _verdict_codes(points, own)):
+            codes[i] = code
+        while children:
+            pid, pipe, share = children[0]
+            with pipe:
+                child_codes = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status != 0 or len(child_codes) != len(share):
+                raise RuntimeError(
+                    f"verdict worker {pid} exited with status {status} "
+                    f"after {len(child_codes)} of {len(share)} verdicts"
+                )
+            for i, code in zip(share, child_codes):
+                codes[i] = code
+    except BaseException:
+        for pid, pipe, _ in children:
+            pipe.close()
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    return [_VERDICTS[code] for code in codes]
 
 
 def search_prime_tau(
@@ -143,29 +273,34 @@ def search_prime_tau(
     if table.limit < p_max:
         raise ValueError(f"table covers 1..{table.limit}, need 1..{p_max}")
 
-    hits: list[SearchHit] = []
+    points: list[_Point] = []
+    classes = {}
     for p in primes_up_to(p_max):
         local = PrimeLocalData(p, table[p])
-        cls = classify_mod23(p)
-        even_terms = islice(hecke_terms(local.tau_p, local.x_p), 2, 2 * k_max + 1, 2)
-        row = [1]
-        for k, cur in enumerate(even_terms, start=1):
-            row.append(cur)
-            if abs(cur) > value_cap:
-                continue
-            verdict = _verdict_for(row)
-            residue = cur % 23
-            if (
-                verdict is Verdict.PROBABLE_PRIME
-                and cls.tag is not Class23Tag.IS_TWENTY_THREE
-                and residue not in allowed_residues_for_prime_value(k)
-            ):
-                raise RuntimeError(
-                    "mod-23 admissibility violated: "
-                    f"p={p} k={k} tau(p^{2 * k})={cur} residue={residue} "
-                    f"class={cls.tag.value} allowed={sorted(allowed_residues_for_prime_value(k))}"
-                )
-            hits.append(SearchHit(p, k, cur, residue, cls, verdict))
+        classes[p] = classify_mod23(p)
+        row = [1, *islice(hecke_terms(local.tau_p, local.x_p), 2, 2 * k_max + 1, 2)]
+        ks = [k for k in range(1, len(row)) if abs(row[k]) <= value_cap]
+        if ks:
+            del row[ks[-1] + 1 :]
+            points += [(p, k, row) for k in ks]
+
+    hits: list[SearchHit] = []
+    for (p, k, row), verdict in zip(points, _verdicts(points)):
+        cls = classes[p]
+        value = row[k]
+        residue = value % 23
+        if (
+            verdict is Verdict.PROBABLE_PRIME
+            and cls.tag is not Class23Tag.IS_TWENTY_THREE
+            and residue not in allowed_residues_for_prime_value(k)
+        ):
+            raise RuntimeError(
+                "mod-23 admissibility violated: "
+                f"p={p} k={k} residue={residue} class={cls.tag.value} "
+                f"allowed={sorted(allowed_residues_for_prime_value(k))} "
+                f"value of {value.bit_length()} bits"
+            )
+        hits.append(SearchHit(p, k, value, residue, cls, verdict))
     return hits
 
 

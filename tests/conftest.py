@@ -1,7 +1,20 @@
+import os
+
 import pytest
 
 from tauprimes.cache import write_cache
 from tauprimes.series import delta_series
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # Every child a test forks or spawns must be reaped by the time it ends.
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (waitpid: pid {pid}, status {status})")
 
 
 @pytest.fixture(scope="session")

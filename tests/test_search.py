@@ -1,9 +1,15 @@
 """Prime-value search over tau(p^{2k}) and the residue census."""
 
+import errno
+import os
+import signal
+import threading
+import time
 from math import prod
 
 import pytest
 
+from tauprimes import search
 from tauprimes.congruence import Class23Tag, allowed_residues_for_prime_value, excluded_b_set
 from tauprimes.hecke import PrimeLocalData, tau_prime_power
 from tauprimes.primality import is_probable_prime, primes_up_to
@@ -154,3 +160,154 @@ def test_overshoot_rows_terminate(table2k):
     # tiny cap: every row runs to k_max above the cap and keeps no point
     hits = search_prime_tau(100, 50, 10, table=table2k)
     assert hits == []
+
+
+def test_admissibility_error_names_bits(table2k, monkeypatch):
+    # The message must not format the value: past 4300 digits str() raises.
+    monkeypatch.setattr(search, "allowed_residues_for_prime_value", lambda k: frozenset())
+    with pytest.raises(RuntimeError) as caught:
+        search_prime_tau(300, 1, 10**27, table=table2k)
+    message = str(caught.value)
+    assert "p=251 k=1 residue=1 class=NonResidue allowed=[]" in message
+    assert f"{LEHMER_VALUE.bit_length()} bits" in message
+    assert str(-LEHMER_VALUE) not in message
+
+
+# Grids for the forked route: the p = 2 row, p = 23, composite and prime
+# 2k + 1, values below 2^64 and caps that cut rows in the middle.
+SPLIT_GRIDS = [(60, 12, 10**90), (700, 8, 10**45), (2500, 24, 10**60)]
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """Count os.fork calls; each still forks."""
+    calls = []
+    real_fork = os.fork
+
+    def spy():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+def _force_split(monkeypatch, cores):
+    monkeypatch.setattr(search, "_FORK_MIN_WORK", 0)
+    monkeypatch.setattr(search, "_usable_cores", lambda: cores)
+
+
+def _serial(grid, table):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_usable_cores", lambda: 1)
+        return search_prime_tau(*grid, table=table)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_forked_verdicts_match_serial(table10k, monkeypatch, fork_calls, cores):
+    monkeypatch.setattr(search, "_usable_cores", lambda: 1)
+    serial = {grid: search_prime_tau(*grid, table=table10k) for grid in SPLIT_GRIDS}
+    assert fork_calls == []
+    _force_split(monkeypatch, cores)
+    for grid, hits in serial.items():
+        del fork_calls[:]
+        assert search_prime_tau(*grid, table=table10k) == hits, grid
+        assert len(fork_calls) == cores - 1, grid
+    # The grids cover what the split must get right.
+    for (_, k_max, _), hits in serial.items():
+        last_k = {}
+        for h in hits:
+            last_k[h.p] = h.k
+        assert any(k < k_max for k in last_k.values())  # a row cut by the cap
+    hits = [h for grid_hits in serial.values() for h in grid_hits]
+    heavy = [h for h in hits if h.value % 2 and abs(h.value) >= 2**64]
+    assert {2, 23} <= {h.p for h in hits}
+    assert any(is_probable_prime(2 * h.k + 1) for h in heavy)
+    assert any(not is_probable_prime(2 * h.k + 1) for h in heavy)
+    assert any(h.verdict is Verdict.PROBABLE_PRIME for h in heavy)
+    assert any(h.value % 2 and 2 < abs(h.value) < 2**64 for h in hits)
+
+
+def test_no_fork_below_threshold_one_core_or_second_thread(table10k, monkeypatch, fork_calls):
+    grid = (2500, 24, 10**60)
+    monkeypatch.setattr(search, "_usable_cores", lambda: 2)
+    search_prime_tau(300, 1, 10**27, table=table10k)  # below the real threshold
+    search_prime_tau(2, 1500, 10**5000, table=table10k)  # the all-even long row
+    assert fork_calls == []
+    _force_split(monkeypatch, 1)
+    search_prime_tau(*grid, table=table10k)
+    assert fork_calls == []
+    _force_split(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        search_prime_tau(*grid, table=table10k)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert fork_calls == []
+    search_prime_tau(*grid, table=table10k)
+    assert len(fork_calls) == 1
+
+
+def test_failing_child_raises(table10k, monkeypatch):
+    _force_split(monkeypatch, 2)
+    parent = os.getpid()
+    verdict_for = search._verdict_for
+
+    def child_fails(row, k):
+        if os.getpid() != parent:
+            raise ValueError("lost verdict")
+        return verdict_for(row, k)
+
+    monkeypatch.setattr(search, "_verdict_for", child_fails)
+    with pytest.raises(RuntimeError, match=r"verdict worker \d+ exited with status 1 after 0 of \d+ verdicts"):
+        search_prime_tau(700, 8, 10**45, table=table10k)
+
+
+def test_failing_parent_kills_and_reaps_children(table10k, monkeypatch, fork_calls):
+    _force_split(monkeypatch, 3)
+    parent = os.getpid()
+
+    def stuck_child_failing_parent(row, k):
+        if os.getpid() != parent:
+            time.sleep(30)
+        raise ValueError("parent share failed")
+
+    monkeypatch.setattr(search, "_verdict_for", stuck_child_failing_parent)
+    statuses = []
+    waitpid = os.waitpid
+
+    def record(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped)
+        return reaped
+
+    monkeypatch.setattr(os, "waitpid", record)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="parent share failed"):
+        search_prime_tau(700, 8, 10**45, table=table10k)
+    assert time.monotonic() - start < 20
+    assert len(fork_calls) == 2
+    assert len(statuses) == 2
+    for pid, status in statuses:
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        with pytest.raises(ChildProcessError):
+            waitpid(pid, os.WNOHANG)
+
+
+def test_fork_failure_falls_back_to_serial(table10k, monkeypatch):
+    grid = (700, 8, 10**45)
+    serial = _serial(grid, table10k)
+    _force_split(monkeypatch, 3)
+    attempts = []
+
+    def no_fork():
+        attempts.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert search_prime_tau(*grid, table=table10k) == serial
+    assert len(attempts) == 2
