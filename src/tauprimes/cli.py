@@ -141,12 +141,12 @@ def _cmd_congruence_table(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    poly = even_index_poly(args.k)
-    print(format_poly(poly))
-    if args.roots:
-        if args.k < 1:
-            raise ValueError("--roots needs k >= 1")
-        rs = root_set(args.k, args.digits)
+    # Roots first, so a bad --roots/--digits exits before anything is written.
+    if args.roots and args.k < 1:
+        raise ValueError("--roots needs k >= 1")
+    rs = root_set(args.k, args.digits) if args.roots else None
+    print(format_poly(even_index_poly(args.k)))
+    if rs is not None:
         for j, alpha in enumerate(rs.alphas, start=1):
             print(f"alpha[{j}] = {mpmath.nstr(alpha, rs.precision_digits)}")
     return 0
@@ -189,7 +189,10 @@ def _cmd_bounds(args) -> int:
 def _cmd_census(args) -> int:
     with open(args.from_path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    hits = [hit_from_dict(d) for d in doc["payload"]["hits"]]
+    payload = doc.get("payload") if isinstance(doc, dict) else None
+    if not isinstance(payload, dict) or not isinstance(payload.get("hits"), list):
+        raise ValueError(f"{args.from_path} is not a search report: it needs a list at payload.hits")
+    hits = [hit_from_dict(d) for d in payload["hits"]]
     report = census_by_residue(hits, args.cap)
     out = envelope(
         "census",
@@ -268,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("verify", help="run a reproduction suite")
-    p.add_argument("--suite", required=True, choices=SUITES + ("all",))
+    p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--cache", help="TAUCACHE file to reuse for the heavy suites")
     p.set_defaults(func=_cmd_verify)
 
@@ -282,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, RuntimeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,15 +93,37 @@ def hit_to_dict(hit: SearchHit) -> dict[str, Any]:
     }
 
 
-def hit_from_dict(d: dict[str, Any]) -> SearchHit:
+def hit_from_dict(d: Any) -> SearchHit:
+    """The hit that hit_to_dict wrote as d.  A field that is missing or not of
+    the JSON type hit_to_dict writes raises ValueError naming that field."""
+    _require_fields(d, "hit", p=int, k=int, value=str, residue23=int, class23=dict, verdict=str)
+    _require_fields(d["class23"], "hit class23", tag=str)
+    witness = d["class23"].get("witness")
+    if witness is not None and not (type(witness) is list and all(type(w) is int for w in witness)):
+        raise ValueError("hit field 'class23.witness' must be null or a list of integers")
+    try:
+        value = int(d["value"])
+    except ValueError as exc:
+        raise ValueError(f"hit field 'value': {exc}") from None
     return SearchHit(
-        p=int(d["p"]),
-        k=int(d["k"]),
-        value=int(d["value"]),
-        residue23=int(d["residue23"]),
+        p=d["p"],
+        k=d["k"],
+        value=value,
+        residue23=d["residue23"],
         class23=class23_from_dict(d["class23"]),
         verdict=Verdict(d["verdict"]),
     )
+
+
+def _require_fields(d: Any, what: str, **kinds: type) -> None:
+    """ValueError unless d is a dict holding each named field with exactly its kind (so no bool for int)."""
+    if type(d) is not dict:
+        raise ValueError(f"{what} must be a JSON object, not {type(d).__name__}")
+    for name, kind in kinds.items():
+        if name not in d:
+            raise ValueError(f"{what} has no field {name!r}")
+        if type(d[name]) is not kind:
+            raise ValueError(f"{what} field {name!r} must be {kind.__name__}, not {type(d[name]).__name__}")
 
 
 def hits_to_csv(hits: list[SearchHit]) -> str:

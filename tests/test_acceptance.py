@@ -11,6 +11,7 @@ stream); every criterion prints exactly one line to the real stdout.
 """
 
 import ast
+import hashlib
 import json
 import sys
 import time
@@ -21,10 +22,12 @@ import sympy
 from tauprimes.cache import read_cache, write_cache
 from tauprimes.cli import main
 from tauprimes.congruence import Class23Tag, classify_mod23, tau_mod23
-from tauprimes.verify import SUITES, Verifier
+from tauprimes.verify import SUITES, Verifier, format_results
 
 LEHMER_N = 63001
 LEHMER_VALUE = -80561663527802406257321747
+# SHA-256 of `verify --suite all`'s stdout, recorded before the suites became generators.
+VERIFY_ALL_SHA256 = "aedc545d7a6302c34c0ae2d180015b84c5a1d3947070cc0cbb71e1202476f9ae"
 
 # criterion -> {verify check name: a piece of its detail, counts included}
 CLAIMS = {
@@ -226,3 +229,8 @@ def test_every_verify_check_is_claimed(verified):
     names = sorted(r.name for results, _ in verified.values() for r in results)
     claimed = sorted(name for claims in CLAIMS.values() for name in claims)
     assert names == claimed
+
+
+def test_verify_report_bytes_are_pinned(verified):
+    text = format_results([r for results, _ in verified.values() for r in results]) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256

@@ -306,8 +306,11 @@ def test_poly_roots(capsys):
     assert lines[0] == "y^2 - 3*x*y + x^2"
     assert lines[1].startswith("alpha[1] = 2.618033988749894848204586834")
     assert lines[2].startswith("alpha[2] = 0.381966011250105151795413165")
-    code, _, err = run(capsys, "poly", "--k", "2", "--roots", "--digits", "0")
-    assert code == 1 and "precision_digits must be >= 20" in err
+    # Refused before G_k is printed, so stdout stays empty.
+    code, out, err = run(capsys, "poly", "--k", "2", "--roots", "--digits", "0")
+    assert (code, out) == (1, "") and "precision_digits must be >= 20" in err
+    code, out, err = run(capsys, "poly", "--k", "0", "--roots")
+    assert (code, out) == (1, "") and "--roots needs k >= 1" in err
 
 
 def test_search_json_and_determinism(capsys):
@@ -384,6 +387,36 @@ def test_census_roundtrip(capsys, tmp_path):
     # tighter cap excludes the only probable prime
     code, out, _ = run(capsys, "census", "--from", str(hits_file), "--cap", "10^20")
     assert json.loads(out)["payload"]["total"] == 0
+
+
+# hit_to_dict of tau(2^2) in the search grid.
+TAU4_HIT = {
+    "p": 2,
+    "k": 1,
+    "exponent": 2,
+    "value": "-1472",
+    "residue23": 0,
+    "class23": {"tag": "SplitNonPrincipal", "witness": None},
+    "verdict": "Composite",
+}
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ([1, 2], "payload.hits"),
+        ({"payload": {"hits": [{**TAU4_HIT, "p": [1]}]}}, "field 'p' must be int"),
+        ({"hits": []}, "payload.hits"),
+        ({"payload": {"hits": [{n: v for n, v in TAU4_HIT.items() if n != "k"}]}}, "no field 'k'"),
+    ],
+    ids=["top-level-list", "p-is-a-list", "no-payload", "hit-without-k"],
+)
+def test_census_names_the_malformed_field(capsys, tmp_path, doc, field):
+    path = tmp_path / "hits.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "census", "--from", str(path), "--cap", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
 
 
 def test_census_missing_file(capsys, tmp_path):
