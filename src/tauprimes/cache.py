@@ -42,7 +42,8 @@ def table_for(limit: int, cache_path: str | Path | None = None) -> TauTable:
     """tau(1..limit) from the first `limit` records of a cache, or computed.
 
     The cache is `cache_path` when given, else default_cache_path().  A
-    missing cache, or one holding fewer than `limit` records, falls back to
+    `cache_path` that does not exist raises FileNotFoundError; a missing
+    default cache, or one holding fewer than `limit` records, falls back to
     delta_series; a bad header or needed record raises its CacheError.
     """
     table = _cached_table(limit, cache_path)
@@ -61,10 +62,11 @@ def tau_at(ns: Iterable[int], cache_path: str | Path | None = None) -> dict[int,
 
 
 def _cached_table(limit: int, cache_path: str | Path | None) -> TauTable | None:
-    path = Path(cache_path) if cache_path else default_cache_path()
-    if path and path.exists():
-        return _read_records(path, limit)
-    return None
+    # A named cache is always read, so a wrong path is an error; only the default may be absent.
+    if cache_path:
+        return _read_records(cache_path, limit)
+    path = default_cache_path()
+    return _read_records(path, limit) if path and path.exists() else None
 
 
 def dump_cache(table: TauTable, stream: TextIO) -> None:

@@ -142,6 +142,8 @@ def _cmd_congruence_table(args) -> int:
 
 def _cmd_poly(args) -> int:
     # Roots first, so a bad --roots/--digits exits before anything is written.
+    if args.digits is not None and not args.roots:
+        raise ValueError("--digits needs --roots")
     if args.roots and args.k < 1:
         raise ValueError("--roots needs k >= 1")
     rs = root_set(args.k, args.digits) if args.roots else None

@@ -82,6 +82,10 @@ class Verifier:
 
     def __init__(self, cache_path: str | Path | None = None):
         self.cache_path = Path(cache_path) if cache_path else None
+        if self.cache_path:
+            # Raises FileNotFoundError for a missing cache before any check runs,
+            # also for suites that never read the table.
+            self.cache_path.stat()
         self._table: TauTable | None = None
 
     def table(self, limit: int) -> TauTable:

@@ -1,10 +1,19 @@
 """Explicit bound formulas, cross-evaluated at high precision."""
 
+import ast
+import inspect
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import tauprimes
+from tauprimes import bounds
 from tauprimes.bounds import (
     DEFAULT_DPS,
     _bvdp_bounds,
@@ -56,18 +65,20 @@ def test_bvdp_count_bound_values():
         bvdp_count_bound(2)
 
 
+# Every bit of bvdp_count_bound(k) at the default 50 digits, so a rewrite that
+# rounds differently fails.  Writing the first term as 4 (log(k+1) + log log 4)
+# gave the same bits at every k < 3000 at 5..129 digits (that term is below
+# 2^-16 of the sum), so this pins only rewrites that move the last bit somewhere.
+FROZEN_BITS = {
+    3: "624804.57018671459321398745016799760936919230252724314",
+    13: "3941236.9285992787150144948736588482886072714575538847",
+    10**4: "61229737.22092643207993323284718469529029145173546889",
+}
+
+
 def test_bvdp_count_bound_frozen_bits():
-    # Every bit at the default 50 digits, so a rewrite that rounds differently
-    # fails.  Writing the first term as 4 (log(k+1) + log log 4) gave the same
-    # bits at every k < 3000 at 5..129 digits (that term is below 2^-16 of the
-    # sum), so this pins only rewrites that move the last bit somewhere.
-    frozen = {
-        3: "624804.57018671459321398745016799760936919230252724314",
-        13: "3941236.9285992787150144948736588482886072714575538847",
-        10**4: "61229737.22092643207993323284718469529029145173546889",
-    }
     with mpmath.workdps(50):
-        for k, bits in frozen.items():
+        for k, bits in FROZEN_BITS.items():
             assert bvdp_count_bound(k) == mpmath.mpf(bits), k
 
 
@@ -189,3 +200,75 @@ def test_bound_report_fields():
         expected_census = 10**4 + mpmath.power(10**8, mpmath.mpf(3) / 11)
         assert abs(report.census_sample_ceiling - expected_census) < mpmath.mpf("1e-10")
     assert report.bracket[0] < report.bracket[1]
+
+
+def fresh_per_k(n):
+    """bound_report(n)'s per-k values as raw libmp tuples, straight from the kernel."""
+    _, k_hi = admissible_k_range(n)
+    with mpmath.workdps(DEFAULT_DPS):
+        return [tuple(map(int, v)) for v in _bvdp_bounds(range(3, int(mpmath.ceil(k_hi))))]
+
+
+def raw_per_k(ns):
+    return [[tuple(map(int, v._mpf_)) for v in bound_report(n).per_k_bound.values()] for n in ns]
+
+
+def test_per_k_memo_in_either_order(monkeypatch):
+    # Here from an empty memo and in descending N: one growth, then two prefixes.
+    monkeypatch.setattr(bounds, "_PER_K_BOUNDS", ())
+    order = (10**1000, 10**8, 10**300)
+    descending = raw_per_k(order[:1])
+    grown = bounds._PER_K_BOUNDS
+    assert len(grown) == len(descending[0])
+    # bvdp_count_bound computes its one value directly, and smaller windows are read, not recomputed.
+    bvdp_count_bound(10**6)
+    monkeypatch.setattr(bounds, "_bvdp_bounds", None)
+    descending += raw_per_k(order[1:])
+    assert bounds._PER_K_BOUNDS is grown
+    # In a fresh process and in ascending N: three growths, each from where the last stopped.
+    src = str(Path(tauprimes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = "from tauprimes.bounds import bound_report\n" + inspect.getsource(raw_per_k)
+    script += "print(raw_per_k((10**8, 10**300, 10**1000)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    ascending = dict(zip((10**8, 10**300, 10**1000), ast.literal_eval(proc.stdout)))
+    for n, got in zip(order, descending):
+        assert got == ascending[n] == fresh_per_k(n), n
+
+
+def test_per_k_memo_grown_at_a_callers_precision(monkeypatch):
+    monkeypatch.setattr(bounds, "_PER_K_BOUNDS", ())
+    with mpmath.workdps(15):
+        first = bound_report(10**8)
+    later = bound_report(10**8)
+    with mpmath.workdps(50):
+        for k in (3, 13):
+            assert first.per_k_bound[k] == later.per_k_bound[k] == mpmath.mpf(FROZEN_BITS[k]), k
+
+
+def test_per_k_memo_from_threads(monkeypatch):
+    prec = mpmath.mp.prec
+    want = bound_report(10**1000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(4):
+            # Four threads, more than the cores, start from an empty memo.
+            monkeypatch.setattr(bounds, "_PER_K_BOUNDS", ())
+            start, got = threading.Barrier(4), []
+
+            def report():
+                start.wait(timeout=60)
+                got.append(bound_report(10**1000))
+
+            threads = [threading.Thread(target=report) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            # mpmath's precision is process-wide: no thread may leave another's behind.
+            assert got == [want] * 4 and mpmath.mp.prec == prec
+    finally:
+        sys.setswitchinterval(interval)

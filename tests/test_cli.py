@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tauprimes
+from tauprimes import bounds
 from tauprimes.cache import write_cache
 from tauprimes.cli import build_parser, main, parse_big_int
 from tauprimes.series import TauTable, delta_series
@@ -188,6 +189,33 @@ def test_tau_corrupt_cache_without_primes(capsys, tmp_path):
     assert (code, out) == (1, "") and "format version '9'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tau", "30"),
+        ("search", "--pmax", "300", "--kmax", "1", "--vmax", "1e27"),
+        ("smallest-prime", "--limit", "300"),
+        # The bounds suite never reads the table, and still refuses a missing cache.
+        ("verify", "--suite", "bounds"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_cache(capsys, tmp_path, monkeypatch, argv):
+    # Only the default cache may be absent: then the command computes.
+    monkeypatch.setenv("TAUPRIMES_CACHE_DIR", str(tmp_path))
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    # A cache named by --cache must exist (search has no --cache flag).
+    if "--cache" in CLI_OPTIONS[argv[0]]:
+        missing = tmp_path / "no" / "such.cache"
+        assert run(capsys, *argv, "--cache", str(missing)) == (
+            1,
+            "",
+            f"error: [Errno 2] No such file or directory: '{missing}'\n",
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_single_values_over_ceiling(capsys):
     # 200003 is prime, so both commands need tau(200003) itself.
     for argv in (("tau", "200003"), ("prime-power", "200003", "1")):
@@ -311,6 +339,8 @@ def test_poly_roots(capsys):
     assert (code, out) == (1, "") and "precision_digits must be >= 20" in err
     code, out, err = run(capsys, "poly", "--k", "0", "--roots")
     assert (code, out) == (1, "") and "--roots needs k >= 1" in err
+    for digits in ("0", "30"):
+        assert run(capsys, "poly", "--k", "3", "--digits", digits) == (1, "", "error: --digits needs --roots\n")
 
 
 def test_search_json_and_determinism(capsys):
@@ -369,6 +399,17 @@ def test_output_digests(capsys, tmp_path, monkeypatch):
         if argv[0] in JSON_COMMANDS:
             out = strip_timestamp(out)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("order", [("1e8", "1e1000"), ("1e1000", "1e8")], ids=["ascending", "descending"])
+def test_bounds_digests_in_either_order(capsys, monkeypatch, order):
+    # From an empty per-k memo: ascending grows it twice; descending grows it
+    # once, then reads a prefix.
+    monkeypatch.setattr(bounds, "_PER_K_BOUNDS", ())
+    for n in order:
+        argv = ("bounds", "--N", n)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == OUTPUT_DIGESTS[argv], n
 
 
 def test_census_roundtrip(capsys, tmp_path):
