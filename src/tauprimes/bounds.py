@@ -8,14 +8,14 @@ are never given numeric values; they ride along as caveat strings.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, NamedTuple, Sequence
 
 import mpmath
 from mpmath.libmp import from_int, mpf_add, mpf_log, mpf_mul, mpf_mul_int, mpf_pow_int, round_nearest
+
+from ._precision import workdps
 
 DEFAULT_DPS = 50
 CROSSOVER_M_MAX = 200  # last decade M that positivity_crossover scans
@@ -28,20 +28,6 @@ CAVEATS = (
     "the approximation-count constant 96000 is explicit, but the height inequality "
     "it feeds on holds only for k >= 3",
 )
-
-
-_DPS_LOCK = threading.RLock()
-
-
-@contextmanager
-def _default_dps():
-    """mpmath.workdps(DEFAULT_DPS), held by one thread at a time.  mpmath's
-    precision is one setting for the whole process: two threads whose
-    workdps blocks interleave would each restore the other's precision on
-    exit, leaving one computing at the caller's precision and the process at
-    DEFAULT_DPS afterwards."""
-    with _DPS_LOCK, mpmath.workdps(DEFAULT_DPS):
-        yield
 
 
 class DirichletSum(NamedTuple):
@@ -71,7 +57,7 @@ def admissible_k_range(n: int) -> tuple[int, mpmath.mpf]:
     """(3, log N / (2 log 2)): the k window where tau(p^{2k}) can be prime below N."""
     if n < 2:
         raise ValueError("N must be >= 2")
-    with _default_dps():
+    with workdps(DEFAULT_DPS):
         return 3, mpmath.log(n) / (2 * mpmath.log(2))
 
 
@@ -80,7 +66,7 @@ def bvdp_count_bound(k: int) -> mpmath.mpf:
     rational approximations close enough to a root of G_k(1, y); k >= 3."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    with _default_dps():
+    with workdps(DEFAULT_DPS):
         return mpmath.mp.make_mpf(_bvdp_bounds(range(k, k + 1))[0])
 
 
@@ -92,9 +78,10 @@ _PER_K_BOUNDS: tuple[tuple, ...] = ()
 def _per_k_bounds(k_end: int) -> tuple[tuple, ...]:
     """The memo, first grown to cover every k < k_end.  Growing it binds a new
     tuple and never changes the old one, so a tuple already handed out stays
-    a correct prefix; the lock keeps two threads from growing it at once."""
+    a correct prefix; the precision lock keeps two threads from growing it
+    at once."""
     global _PER_K_BOUNDS
-    with _default_dps():
+    with workdps(DEFAULT_DPS):
         memo = _PER_K_BOUNDS
         if 3 + len(memo) < k_end:
             memo += tuple(_bvdp_bounds(range(3 + len(memo), k_end)))
@@ -124,7 +111,7 @@ def attainable_prime_ceiling(n: int) -> mpmath.mpf:
     can occur as tau(p^{2k}) over the admissible k window."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    with _default_dps():
+    with workdps(DEFAULT_DPS):
         n_ = mpmath.mpf(n)
         return mpmath.power(n_, mpmath.mpf(9) / 10) * mpmath.log(n_) / (2 * mpmath.log(2))
 
@@ -132,7 +119,7 @@ def attainable_prime_ceiling(n: int) -> mpmath.mpf:
 def progression_decade_floor(m) -> mpmath.mpf:
     """7 * 10^M / (11 log 10 (M+1)): floor on signed primes of one fixed
     nonzero class mod 23 with 10^M <= |l| <= 10^{M+1}; M >= 1."""
-    with _default_dps():
+    with workdps(DEFAULT_DPS):
         m_ = mpmath.mpf(m)
         if m_ < 1:
             raise ValueError("M must be >= 1")
@@ -145,7 +132,7 @@ def pi_bracket(x) -> tuple[mpmath.mpf, mpmath.mpf]:
     Holds for x beyond an ineffective threshold; reported unconditionally
     with that caveat attached at the report level.
     """
-    with _default_dps():
+    with workdps(DEFAULT_DPS):
         x_ = mpmath.mpf(x)
         if x_ <= 1:
             raise ValueError("x must be > 1")
@@ -160,7 +147,7 @@ def density_fraction() -> Fraction:
 
 def dirichlet_partial_sum(primes: Sequence[int], s) -> DirichletSum:
     """sum 1/|p|^s over signed primes, with the s->1 normalizer 2 log(1/(s-1))."""
-    with _default_dps():
+    with workdps(DEFAULT_DPS):
         s_ = mpmath.mpf(s)
         if s_ <= 1:
             raise ValueError("s must be > 1")
@@ -177,7 +164,7 @@ def dirichlet_partial_sum(primes: Sequence[int], s) -> DirichletSum:
 def decade_margin(m: int) -> mpmath.mpf:
     """Floor minus ceiling at N = 10^{M+1}: positive once the progression
     supply provably outruns the attainable tau values."""
-    with _default_dps():
+    with workdps(DEFAULT_DPS):
         n = 10 ** (m + 1)
         _, k_hi = admissible_k_range(n)
         k_count = mpmath.ceil(k_hi) - 3
@@ -199,7 +186,7 @@ def positivity_crossover() -> int | None:
 def bound_report(n: int) -> BoundReport:
     """All bounds evaluated at ceiling N in one struct."""
     k_lo, k_hi = admissible_k_range(n)
-    with _default_dps():
+    with workdps(DEFAULT_DPS):
         window = range(k_lo, int(mpmath.ceil(k_hi)))
         # The window and the memo both start at k = 3.
         per_k = dict(zip(window, map(mpmath.mp.make_mpf, _per_k_bounds(window.stop))))

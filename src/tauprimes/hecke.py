@@ -16,6 +16,7 @@ from typing import Iterator, Mapping
 
 import mpmath
 
+from ._precision import workdps
 from .errors import BudgetExceededError, DegenerateDiscriminantError, MissingPrimeError
 from .series import DEFAULT_LIMIT_CEILING
 
@@ -114,7 +115,7 @@ def closed_form_residual(local: PrimeLocalData, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    with mpmath.workdps(CLOSED_FORM_DIGITS):
+    with workdps(CLOSED_FORM_DIGITS):
         root, theta = local_angle(local)
         exact = tau_prime_power(local, k)
         approx = root**k * mpmath.sin((k + 1) * theta) / mpmath.sin(theta)

@@ -30,6 +30,7 @@ from typing import NamedTuple
 import mpmath
 from mpmath import libmp
 
+from ._precision import workdps
 from .errors import BudgetExceededError
 from .hecke import CLOSED_FORM_DIGITS, PrimeLocalData, hecke_terms, local_angle
 
@@ -43,11 +44,16 @@ _MIDPOINT_MARGIN_BITS = 6
 
 
 def _working_digits(k: int, precision_digits: int | None) -> int:
-    """precision_digits, or max(50, 4k) when None; at least 20."""
-    digits = max(50, 4 * k) if precision_digits is None else precision_digits
-    if digits < 20:
+    """precision_digits, or max(50, 4k) when None.  A given precision_digits
+    must lie in 20 .. 4 DEFAULT_MAX_K, the most the default takes."""
+    if precision_digits is None:
+        return max(50, 4 * k)
+    if precision_digits < 20:
         raise ValueError("precision_digits must be >= 20")
-    return digits
+    if precision_digits > 4 * DEFAULT_MAX_K:
+        # The value itself may be too long to print.
+        raise BudgetExceededError(f"precision_digits exceeds the ceiling {4 * DEFAULT_MAX_K}")
+    return precision_digits
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ def root_set(k: int, precision_digits: int | None = None) -> RootSet:
     _check_max_k(k)
     digits = _working_digits(k, precision_digits)
     n = 2 * k + 1
-    with mpmath.workdps(digits):
+    with workdps(digits):
         prec = mpmath.mp.prec
         wide = prec + _GUARD_BITS + 2 * n.bit_length()
         pi_wide = libmp.pi_fixed(wide)
@@ -177,7 +183,7 @@ def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:
     """
     if k < 2:
         raise ValueError("k must be >= 2 for a gap to exist")
-    with mpmath.workdps(_working_digits(k, precision_digits)):
+    with workdps(_working_digits(k, precision_digits)):
         a = mpmath.pi / (2 * k + 1)
         return 4 * mpmath.sin(a) * mpmath.sin(2 * a)
 
@@ -193,7 +199,7 @@ def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[in
     if n < 2:
         raise ValueError("n must be >= 2")
     out = []
-    with mpmath.workdps(CLOSED_FORM_DIGITS):
+    with workdps(CLOSED_FORM_DIGITS):
         r, theta = local_angle(local)
         alpha = r * mpmath.exp(mpmath.mpc(0, theta))
         beta = mpmath.conj(alpha)
@@ -242,7 +248,7 @@ def approximation_quality(local: PrimeLocalData, k: int) -> ApproximationQuality
     digits = _working_digits(k, None)
     approx = Fraction(local.y_p, local.x_p)
     height = max(abs(approx.numerator), approx.denominator)
-    with mpmath.workdps(digits):
+    with workdps(digits):
         ratio = mpmath.mpf(approx.numerator) / approx.denominator
         j_c = (2 * k + 1) / mpmath.pi * mpmath.acos(min(mpmath.sqrt(ratio) / 2, 1))
         floor = int(mpmath.floor(j_c))

@@ -21,6 +21,7 @@ from pathlib import Path
 import mpmath
 
 from . import bounds as bnd
+from ._precision import workdps
 from .cache import table_for
 from .congruence import (
     Class23,
@@ -234,7 +235,7 @@ def _spectral_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
         digits = rs.precision_digits
         # Guard digits so Horner rounding stays subordinate to the
         # digits-digit accuracy of the roots themselves.
-        with mpmath.workdps(2 * digits + 20):
+        with workdps(2 * digits + 20):
             tol = mpmath.mpf(10) ** (-(digits - 10)) * norm1
             for alpha in rs.alphas:
                 roots += 1
@@ -256,7 +257,7 @@ def _spectral_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
 
     worst_rel = mpmath.mpf(0)
     compared = 0
-    with mpmath.workdps(80):
+    with workdps(80):
         for p in primes_up_to(13):
             local = PrimeLocalData(p, table[p])
             values = _two_term_powers(p, local.tau_p, 19)
@@ -385,7 +386,7 @@ def _search_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
 
 def _bounds_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
     checks = []
-    with mpmath.workdps(100):
+    with workdps(100):
 
         def agree(value, alt):
             return abs(value - alt) / alt < mpmath.mpf(10) ** -29
@@ -421,7 +422,7 @@ def _bounds_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
         f"{sum(checks)}/{len(checks)} comparisons",
     )
 
-    with mpmath.workdps(50):
+    with workdps(50):
         ratio_ok = all(
             abs(
                 bnd.progression_decade_floor(m + 1) / bnd.progression_decade_floor(m)
@@ -451,7 +452,7 @@ def _bounds_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
     )
 
     ds = bnd.dirichlet_partial_sum([3, -3], 2)
-    with mpmath.workdps(50):
+    with workdps(50):
         sum_ok = abs(ds.partial_sum - mpmath.mpf(2) / 9) < mpmath.mpf(10) ** -40
     ok = bnd.density_fraction() == Fraction(9, 11) and sum_ok
     yield (

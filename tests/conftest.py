@@ -1,5 +1,6 @@
 import os
 
+import mpmath
 import pytest
 
 from tauprimes.cache import write_cache
@@ -15,6 +16,16 @@ def no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process unreaped (waitpid: pid {pid}, status {status})")
+
+
+@pytest.fixture(autouse=True)
+def no_precision_left():
+    # mpmath's precision is process-wide: a test that leaves it changed runs
+    # every later test at the wrong precision.
+    prec = mpmath.mp.prec
+    yield
+    if mpmath.mp.prec != prec:
+        pytest.fail(f"the test left mpmath.mp.prec at {mpmath.mp.prec}, not {prec}")
 
 
 @pytest.fixture(scope="session")

@@ -28,6 +28,8 @@ from tauprimes.bounds import (
     positivity_crossover,
     progression_decade_floor,
 )
+from tauprimes.hecke import PrimeLocalData, closed_form_residual
+from tauprimes.spectral import min_gap, root_set
 
 
 def test_k_range_exact_at_64():
@@ -270,5 +272,40 @@ def test_per_k_memo_from_threads(monkeypatch):
             assert not any(t.is_alive() for t in threads)
             # mpmath's precision is process-wide: no thread may leave another's behind.
             assert got == [want] * 4 and mpmath.mp.prec == prec
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_precision_blocks_of_two_modules_from_threads():
+    # A spectral or hecke block on one thread must not interleave with a
+    # bounds block on another: each would restore the other's precision.
+    local = PrimeLocalData(2, -24)
+
+    def spectral_calls():
+        return min_gap(300), root_set(40), closed_form_residual(local, 12)
+
+    prec = mpmath.mp.prec
+    want = {"spectral": spectral_calls(), "bounds": bound_report(10**1000)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(4):
+            start, got = threading.Barrier(2), {}
+
+            def run(name, call):
+                start.wait(timeout=60)
+                got[name] = [call() for _ in range(20)]
+
+            threads = [
+                threading.Thread(target=run, args=("spectral", spectral_calls)),
+                threading.Thread(target=run, args=("bounds", lambda: bound_report(10**1000))),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == {name: [value] * 20 for name, value in want.items()}
+            assert mpmath.mp.prec == prec
     finally:
         sys.setswitchinterval(interval)

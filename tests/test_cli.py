@@ -337,6 +337,10 @@ def test_poly_roots(capsys):
     # Refused before G_k is printed, so stdout stays empty.
     code, out, err = run(capsys, "poly", "--k", "2", "--roots", "--digits", "0")
     assert (code, out) == (1, "") and "precision_digits must be >= 20" in err
+    # Past the ceiling the value itself is not printed: 10^5000 has no short numeral.
+    for digits in ("40001", "10^5000"):
+        code, out, err = run(capsys, "poly", "--k", "2", "--roots", "--digits", digits)
+        assert (code, out, err) == (1, "", "error: precision_digits exceeds the ceiling 40000\n")
     code, out, err = run(capsys, "poly", "--k", "0", "--roots")
     assert (code, out) == (1, "") and "--roots needs k >= 1" in err
     for digits in ("0", "30"):
@@ -592,6 +596,20 @@ def test_public_options_are_pinned():
             if param.default is not param.empty:
                 options.setdefault(qualname, {})[param.name] = param.default
     assert options == PUBLIC_OPTIONS
+
+
+def test_one_precision_path():
+    # mpmath's precision is process-wide, so only the locked helper may change it.
+    src = Path(tauprimes.__file__).parent
+    pattern = re.compile(r"mpmath\.workdps\(|mp\.(?:prec|dps) *=(?!=)")
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "_precision.py"
+        for n, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
 
 
 # Each subcommand's flags and positionals ("" is the top level), so a new one is a deliberate edit.
