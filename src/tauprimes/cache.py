@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .errors import CacheMalformedError, CacheTruncatedError, CacheVersionError
 from .series import TauTable, delta_series, tau_values
@@ -46,27 +46,30 @@ def table_for(limit: int, cache_path: str | Path | None = None) -> TauTable:
     default cache, or one holding fewer than `limit` records, falls back to
     delta_series; a bad header or needed record raises its CacheError.
     """
-    table = _cached_table(limit, cache_path)
-    return delta_series(limit) if table is None else table
+    # delta_series refuses a limit below 1 before any file is read.
+    values = _cached_records(range(1, limit + 1), cache_path) if limit >= 1 else None
+    return delta_series(limit) if values is None else TauTable(tuple(values))
 
 
 def tau_at(ns: Iterable[int], cache_path: str | Path | None = None) -> dict[int, int]:
-    """{n: tau(n)} for each n in ns, from a cache as table_for reads it, or computed.
+    """{n: tau(n)} for each n in ns, from the records of a cache, or computed.
 
-    The cache lookup is table_for's with limit max(ns) (1 for no ns); only
-    when no cache covers it are the values computed, by tau_values.
+    The cache is found as table_for finds it.  Only record 1 and the records
+    of ns are parsed and checked; only when the cache promises fewer than
+    max(ns) records, or there is none, are the values computed, by tau_values.
     """
     ns = set(ns)
-    table = _cached_table(max(ns, default=1), cache_path)
-    return tau_values(ns) if table is None else {n: table[n] for n in ns}
+    want = sorted(ns | {1})
+    values = _cached_records(want, cache_path)
+    return tau_values(ns) if values is None else {n: v for n, v in zip(want, values) if n in ns}
 
 
-def _cached_table(limit: int, cache_path: str | Path | None) -> TauTable | None:
+def _cached_records(want: Sequence[int], cache_path: str | Path | None) -> list[int] | None:
     # A named cache is always read, so a wrong path is an error; only the default may be absent.
     if cache_path:
-        return _read_records(cache_path, limit)
+        return _read_records(cache_path, want)
     path = default_cache_path()
-    return _read_records(path, limit) if path and path.exists() else None
+    return _read_records(path, want) if path and path.exists() else None
 
 
 def dump_cache(table: TauTable, stream: TextIO) -> None:
@@ -97,18 +100,23 @@ def write_cache(table: TauTable, path: str | Path) -> None:
 
 def read_cache(path: str | Path) -> TauTable:
     """Parse a TAUCACHE file back into a table, validating strictly."""
-    return _read_records(path)
+    return TauTable(tuple(_read_records(path)))
 
 
-def _read_records(path: str | Path, want: int | None = None) -> TauTable | None:
-    """All records, or only the first `want` (None if the file promises fewer)."""
+def _read_records(path: str | Path, want: Sequence[int] | None = None) -> list[int] | None:
+    """tau(n) for each n in `want` (ascending, starting at 1), or for every record.
+
+    Record n sits on line n + 2, so only the lines of `want` are parsed and
+    checked.  None if the file promises fewer than max(want) records; with
+    no `want`, content after the last promised record is an error.
+    """
     try:
         # newline="" keeps CR bytes visible so non-LF line endings are rejected
         with open(Path(path), "r", encoding="ascii", newline="") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise CacheMalformedError(f"file is not ASCII text: {exc}") from exc
-    lines = text.split("\n", -1 if want is None else want + 2)
+    lines = text.split("\n", -1 if want is None else want[-1] + 2)
     if lines and lines[-1] == "":
         lines.pop()
 
@@ -132,34 +140,34 @@ def _read_records(path: str | Path, want: int | None = None) -> TauTable | None:
     if count < 1:
         raise CacheMalformedError("record count must be >= 1", line=2)
 
-    if want is not None:
-        if count < want:
-            return None
-    elif len(lines) > 2 + count:
-        raise CacheMalformedError("content after the last promised record", line=2 + count + 1)
+    if want is None:
+        if len(lines) > 2 + count:
+            raise CacheMalformedError("content after the last promised record", line=2 + count + 1)
+        want = range(1, count + 1)
+    elif count < want[-1]:
+        return None
 
     values = []
-    for idx in range(count if want is None else want):
-        line_no = idx + 3
-        if idx + 2 >= len(lines):
+    for n in want:
+        line_no = n + 2
+        if n + 1 >= len(lines):
             raise CacheTruncatedError(
-                f"file ends after {idx} of {count} records", line=line_no
+                f"file ends after {len(lines) - 2} of {count} records", line=line_no
             )
-        record = lines[idx + 2]
+        record = lines[n + 1]
         parts = record.split(" ")
         if len(parts) != 2:
             raise CacheMalformedError("record is not 'n value'", line=line_no)
         try:
-            n, value = int(parts[0]), int(parts[1])
+            got, value = int(parts[0]), int(parts[1])
         except ValueError:
             raise CacheMalformedError(f"non-integer record {record!r}", line=line_no) from None
-        if f"{n} {value}" != record:
+        if f"{got} {value}" != record:
             # rejects CRLF remnants, leading zeros, plus signs, stray spaces
             raise CacheMalformedError(f"non-canonical record {record!r}", line=line_no)
-        if n != idx + 1:
-            raise CacheMalformedError(f"expected record for n={idx + 1}, got n={n}", line=line_no)
+        if got != n:
+            raise CacheMalformedError(f"expected record for n={n}, got n={got}", line=line_no)
         values.append(value)
-    try:
-        return TauTable(tuple(values))
-    except ValueError as exc:
-        raise CacheMalformedError(str(exc), line=3) from exc
+    if values[0] != 1:
+        raise CacheMalformedError("tau(1) must be 1", line=3)
+    return values

@@ -175,7 +175,7 @@ def root_set(k: int, precision_digits: int | None = None) -> RootSet:
 
 
 def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:
-    """Smallest distance between distinct roots of G_k(1, y); k >= 2.
+    """Smallest distance between distinct roots of G_k(1, y); 2 <= k <= DEFAULT_MAX_K.
 
     With n = 2k+1 the gap alpha_{j-1} - alpha_j is 4 sin(pi (2j-1)/n) sin(pi/n).
     Sine is concave on (0, pi), so over j = 2..k it is least at an end, and
@@ -183,6 +183,7 @@ def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:
     """
     if k < 2:
         raise ValueError("k must be >= 2 for a gap to exist")
+    _check_max_k(k)
     with workdps(_working_digits(k, precision_digits)):
         a = mpmath.pi / (2 * k + 1)
         return 4 * mpmath.sin(a) * mpmath.sin(2 * a)
@@ -245,6 +246,7 @@ def approximation_quality(local: PrimeLocalData, k: int) -> ApproximationQuality
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_max_k(k)
     digits = _working_digits(k, None)
     approx = Fraction(local.y_p, local.x_p)
     height = max(abs(approx.numerator), approx.denominator)

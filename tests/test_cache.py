@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tauprimes.cache import default_cache_path, read_cache, table_for, write_cache
+from tauprimes.cache import default_cache_path, read_cache, table_for, tau_at, write_cache
 from tauprimes.errors import (
     CacheError,
     CacheMalformedError,
@@ -119,6 +119,16 @@ def test_table_for_parses_only_needed_records(tmp_path):
     write_text(path, "TAUCACHE 9\n3\n")
     with pytest.raises(CacheVersionError):
         table_for(1, path)
+
+
+def test_tau_at_reads_records(tmp_path):
+    table = delta_series(50)
+    path = tmp_path / "t.cache"
+    write_cache(table, path)
+    for n in range(1, 51):
+        assert tau_at([n], path) == {n: table[n]}
+    assert tau_at(range(1, 51), path) == dict(table.items())
+    assert tau_at([], path) == {}
 
 
 # Replacement lines: any text, numerals, records, numerals at and past

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import tauprimes
 from tauprimes import bounds
-from tauprimes.cache import write_cache
+from tauprimes.cache import tau_at, write_cache
 from tauprimes.cli import build_parser, main, parse_big_int
+from tauprimes.errors import CacheTruncatedError
 from tauprimes.series import TauTable, delta_series
 from tauprimes.verify import Verifier
 
@@ -187,6 +188,37 @@ def test_tau_corrupt_cache_without_primes(capsys, tmp_path):
     path.write_text("TAUCACHE 9\n1\n1 1\n")
     code, out, err = run(capsys, "tau", "1", "--cache", str(path))
     assert (code, out) == (1, "") and "format version '9'" in err
+
+
+def corrupt_cache(path, n=None, lines=None):
+    # A 50-record cache; record n gets a leading zero, and only the first `lines` lines are kept.
+    write_cache(delta_series(50), path)
+    text = path.read_text().splitlines(keepends=True)
+    if n:
+        text[n + 1] = "0" + text[n + 1]
+    path.write_text("".join(text[:lines]))
+    return path
+
+
+def test_tau_cache_parses_only_its_records(capsys, tmp_path):
+    # tau(7) and tau(14) = tau(2) tau(7) read records 1, 2 and 7 only.
+    path = corrupt_cache(tmp_path / "bad.cache", 4)
+    assert run(capsys, "tau", "7", "--cache", str(path)) == (0, "-16744\n", "")
+    corrupt_cache(path, 7)
+    code, out, err = run(capsys, "tau", "14", "--cache", str(path))
+    assert (code, out) == (1, "") and err.count("error:") == 1 and "line 9:" in err
+    assert "non-canonical record '07 -16744'" in err
+
+
+def test_tau_cache_cut_short(capsys, tmp_path):
+    # The count line promises 50 records; the file stops after 10.
+    path = corrupt_cache(tmp_path / "short.cache", None, lines=12)
+    with pytest.raises(CacheTruncatedError) as info:
+        tau_at([29], path)
+    assert info.value.line == 31
+    code, out, err = run(capsys, "tau", "29", "--cache", str(path))
+    assert (code, out) == (1, "") and "line 31: file ends after 10 of 50 records" in err
+    assert run(capsys, "tau", "7", "--cache", str(path)) == (0, "-16744\n", "")
 
 
 @pytest.mark.parametrize(

@@ -174,6 +174,15 @@ def test_root_set_budget():
             build(DEFAULT_MAX_K + 1)
 
 
+def test_gap_and_approximation_budget():
+    # Their default precision is 4k digits, so past the ceiling they refuse at once too.
+    message = f"^k = {DEFAULT_MAX_K + 1} exceeds the ceiling {DEFAULT_MAX_K}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        min_gap(DEFAULT_MAX_K + 1)
+    with pytest.raises(BudgetExceededError, match=message):
+        approximation_quality(PrimeLocalData(2, -24), DEFAULT_MAX_K + 1)
+
+
 def test_vieta_sum_of_roots():
     for k in (2, 5, 9):
         poly = even_index_poly(k)
