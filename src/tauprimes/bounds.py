@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import ClassVar, NamedTuple, Sequence
 
 import mpmath
-from mpmath.libmp import from_int, mpf_add, mpf_log, mpf_mul, mpf_mul_int, mpf_pow_int, round_nearest
 
 from ._precision import workdps
 
 DEFAULT_DPS = 50
 CROSSOVER_M_MAX = 200  # last decade M that positivity_crossover scans
+with workdps(DEFAULT_DPS):
+    _LOG4 = mpmath.log(4)  # of the per-k bound, computed once rather than for every k
 
 CAVEATS = (
     "the zero-free-region constant in the progression prime counts is ineffective; "
@@ -63,47 +65,20 @@ def admissible_k_range(n: int) -> tuple[int, mpmath.mpf]:
 
 def bvdp_count_bound(k: int) -> mpmath.mpf:
     """4 log((k+1) log 4) + 96000 (log k)^2 log(200 log k), the per-k cap on
-    rational approximations close enough to a root of G_k(1, y); k >= 3."""
+    rational approximations close enough to a root of G_k(1, y); k >= 3.
+    Computed once per k in a process, at DEFAULT_DPS whatever the caller's precision."""
     if k < 3:
         raise ValueError("k must be >= 3")
     with workdps(DEFAULT_DPS):
-        return mpmath.mp.make_mpf(_bvdp_bounds(range(k, k + 1))[0])
+        return _bvdp(k)
 
 
-# bvdp_count_bound(k) for k = 3, 4, ... as raw libmp values at DEFAULT_DPS;
-# bound_report grows it to the largest window asked for in this process.
-_PER_K_BOUNDS: tuple[tuple, ...] = ()
-
-
-def _per_k_bounds(k_end: int) -> tuple[tuple, ...]:
-    """The memo, first grown to cover every k < k_end.  Growing it binds a new
-    tuple and never changes the old one, so a tuple already handed out stays
-    a correct prefix; the precision lock keeps two threads from growing it
-    at once."""
-    global _PER_K_BOUNDS
-    with workdps(DEFAULT_DPS):
-        memo = _PER_K_BOUNDS
-        if 3 + len(memo) < k_end:
-            memo += tuple(_bvdp_bounds(range(3 + len(memo), k_end)))
-            _PER_K_BOUNDS = memo
-    return memo
-
-
-def _bvdp_bounds(ks: range) -> list[tuple]:
-    """bvdp_count_bound over ks as raw libmp values at the working precision:
-    the libmp calls, order and rounding of the mpf operators on k_ = mpf(k),
-    log_k = log(k_): 4*log((k_+1)*log(4)) + 96000*log_k**2*log(200*log_k)."""
-    prec, rnd = mpmath.mp.prec, round_nearest
-    log4 = mpf_log(from_int(4), prec, rnd)
-    out = []
-    for k in ks:
-        k_ = from_int(k, prec, rnd)
-        log_k = mpf_log(k_, prec, rnd)
-        first = mpf_log(mpf_mul(mpf_add(k_, from_int(1), prec, rnd), log4, prec, rnd), prec, rnd)
-        second = mpf_mul_int(mpf_pow_int(log_k, 2, prec, rnd), 96000, prec, rnd)
-        third = mpf_log(mpf_mul_int(log_k, 200, prec, rnd), prec, rnd)
-        out.append(mpf_add(mpf_mul_int(first, 4, prec, rnd), mpf_mul(second, third, prec, rnd), prec, rnd))
-    return out
+@cache
+def _bvdp(k: int) -> mpmath.mpf:
+    # Callers hold workdps(DEFAULT_DPS): one block per window, not one per k.
+    k_ = mpmath.mpf(k)
+    log_k = mpmath.log(k_)
+    return 4 * mpmath.log((k_ + 1) * _LOG4) + 96000 * log_k**2 * mpmath.log(200 * log_k)
 
 
 def attainable_prime_ceiling(n: int) -> mpmath.mpf:
@@ -188,8 +163,7 @@ def bound_report(n: int) -> BoundReport:
     k_lo, k_hi = admissible_k_range(n)
     with workdps(DEFAULT_DPS):
         window = range(k_lo, int(mpmath.ceil(k_hi)))
-        # The window and the memo both start at k = 3.
-        per_k = dict(zip(window, map(mpmath.mp.make_mpf, _per_k_bounds(window.stop))))
+        per_k = {k: _bvdp(k) for k in window}
         m = mpmath.log10(mpmath.mpf(n)) - 1
         floor = progression_decade_floor(m) if m >= 1 else mpmath.mpf("nan")
         n_ = mpmath.mpf(n)

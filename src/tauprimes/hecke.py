@@ -23,6 +23,11 @@ from .series import DEFAULT_LIMIT_CEILING
 # Working precision of the trigonometric closed forms of the local roots.
 CLOSED_FORM_DIGITS = 60
 
+# The largest exponent k the package takes for tau(p^k), G_k and root sets:
+# tau(p^k) has up to about 5.5 k log10(p) digits, so past this one
+# request could run for minutes and fill memory.
+DEFAULT_MAX_K = 10_000
+
 
 @dataclass(frozen=True)
 class PrimeLocalData:
@@ -59,6 +64,11 @@ class Factorization:
             raise ValueError(f"factor product {prod} != n {self.n}")
 
 
+def _check_max_k(k: int) -> None:
+    if k > DEFAULT_MAX_K:
+        raise BudgetExceededError(f"k = {k} exceeds the ceiling {DEFAULT_MAX_K}")
+
+
 def hecke_terms(tau_p: int, x_p: int, modulus: int | None = None) -> Iterator[int]:
     """Yield tau(p^0), tau(p^1), ... from tau(p) and x_p = p^11, without end.
 
@@ -78,9 +88,10 @@ def hecke_terms(tau_p: int, x_p: int, modulus: int | None = None) -> Iterator[in
 
 
 def tau_prime_power(local: PrimeLocalData, k: int) -> int:
-    """Exact tau(p^k) from the order-2 linear recurrence; k >= 0."""
+    """Exact tau(p^k) from the order-2 linear recurrence; 0 <= k <= DEFAULT_MAX_K."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    _check_max_k(k)
     return next(islice(hecke_terms(local.tau_p, local.x_p), k, None))
 
 

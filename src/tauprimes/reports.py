@@ -94,8 +94,9 @@ def hit_to_dict(hit: SearchHit) -> dict[str, Any]:
 
 
 def hit_from_dict(d: Any) -> SearchHit:
-    """The hit that hit_to_dict wrote as d.  A field that is missing or not of
-    the JSON type hit_to_dict writes raises ValueError naming that field."""
+    """The hit that hit_to_dict wrote as d.  A field that is missing, not of
+    the JSON type hit_to_dict writes, or (residue23) not value mod 23 raises
+    ValueError naming that field."""
     _require_fields(d, "hit", p=int, k=int, value=str, residue23=int, class23=dict, verdict=str)
     _require_fields(d["class23"], "hit class23", tag=str)
     witness = d["class23"].get("witness")
@@ -105,6 +106,8 @@ def hit_from_dict(d: Any) -> SearchHit:
         value = int(d["value"])
     except ValueError as exc:
         raise ValueError(f"hit field 'value': {exc}") from None
+    if d["residue23"] != value % 23:
+        raise ValueError(f"hit field 'residue23' is {d['residue23']}, but value mod 23 is {value % 23}")
     return SearchHit(
         p=d["p"],
         k=d["k"],

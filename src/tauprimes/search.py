@@ -63,7 +63,7 @@ from .congruence import (
     classify_mod23,
     excluded_b_set,
 )
-from .hecke import PrimeLocalData, hecke_terms
+from .hecke import PrimeLocalData, _check_max_k, hecke_terms
 from .primality import has_small_factor, is_probable_prime, passes_strong_tests, primes_up_to
 from .series import TauTable
 
@@ -265,9 +265,11 @@ def search_prime_tau(
     *,
     table: TauTable,
 ) -> list[SearchHit]:
-    """All grid hits with |tau(p^{2k})| <= value_cap, ordered by (p, k)."""
+    """All grid hits with |tau(p^{2k})| <= value_cap, ordered by (p, k);
+    k_max <= DEFAULT_MAX_K."""
     if p_max < 1 or k_max < 1:
         raise ValueError("p_max and k_max must be >= 1")
+    _check_max_k(k_max)
     if value_cap < 0:
         raise ValueError("value_cap must be >= 0")
     if table.limit < p_max:

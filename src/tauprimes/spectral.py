@@ -32,9 +32,7 @@ from mpmath import libmp
 
 from ._precision import workdps
 from .errors import BudgetExceededError
-from .hecke import CLOSED_FORM_DIGITS, PrimeLocalData, hecke_terms, local_angle
-
-DEFAULT_MAX_K = 10_000
+from .hecke import CLOSED_FORM_DIGITS, DEFAULT_MAX_K, PrimeLocalData, _check_max_k, hecke_terms, local_angle
 
 # root_set's fixed-point cosines carry this many bits beyond the context
 # precision (plus 2 bitlen(2k+1)), and defer to mpmath.cos for any root whose
@@ -84,11 +82,6 @@ class ApproximationQuality(NamedTuple):
     distance: mpmath.mpf
     threshold: mpmath.mpf
     triggered: bool
-
-
-def _check_max_k(k: int) -> None:
-    if k > DEFAULT_MAX_K:
-        raise BudgetExceededError(f"k = {k} exceeds the ceiling {DEFAULT_MAX_K}")
 
 
 def even_index_poly(k: int) -> EvenIndexPoly:
@@ -190,7 +183,7 @@ def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:
 
 
 def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[int, mpmath.mpf]]:
-    """|Phi_d(alpha, beta)| for each divisor d > 1 of n, ascending in d.
+    """|Phi_d(alpha, beta)| for each divisor d > 1 of n, ascending in d; n - 1 <= DEFAULT_MAX_K.
 
     alpha, beta are the conjugate local roots, taken from local_angle at
     CLOSED_FORM_DIGITS digits; the product over all listed d equals
@@ -199,6 +192,7 @@ def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[in
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_max_k(n - 1)
     out = []
     with workdps(CLOSED_FORM_DIGITS):
         r, theta = local_angle(local)
@@ -217,9 +211,10 @@ def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[in
 
 
 def growth_check(local: PrimeLocalData, k_max: int) -> list[tuple[int, bool]]:
-    """Exact comparisons |tau(p^k)| > 2^k for k = 1..k_max."""
+    """Exact comparisons |tau(p^k)| > 2^k for k = 1..k_max, k_max <= DEFAULT_MAX_K."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _check_max_k(k_max)
     terms = islice(hecke_terms(local.tau_p, local.x_p), 1, k_max + 1)
     return [(k, abs(t) > 2**k) for k, t in enumerate(terms, start=1)]
 

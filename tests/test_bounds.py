@@ -1,22 +1,15 @@
 """Explicit bound formulas, cross-evaluated at high precision."""
 
-import ast
-import inspect
-import os
-import subprocess
 import sys
 import threading
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import pytest
 
-import tauprimes
-from tauprimes import bounds
 from tauprimes.bounds import (
     DEFAULT_DPS,
-    _bvdp_bounds,
+    _bvdp,
     admissible_k_range,
     attainable_prime_ceiling,
     bound_report,
@@ -165,30 +158,13 @@ def test_decade_margin_and_crossover():
 
 
 def test_bound_report_per_k_matches_bvdp_count_bound():
-    for n in (10**8, 10**300):
+    # One memo: the report holds the very values bvdp_count_bound returns.
+    for n in (10**8, 10**300, 10**1000):
         report = bound_report(n)
         window = range(report.k_lo, int(mpmath.ceil(report.k_hi)))
         assert list(report.per_k_bound) == list(window)
         for k in window:
-            assert report.per_k_bound[k] == bvdp_count_bound(k), (n, k)
-
-
-def test_bound_report_per_k_matches_mpf_expression():
-    # The per-k kernel works on raw libmp values; this is the expression it
-    # must reproduce bit for bit, written in mpf arithmetic as the reference.
-    # bound_report runs it at DEFAULT_DPS; the kernel itself at any precision.
-    report = bound_report(10**1000)
-    window = range(report.k_lo, int(mpmath.ceil(report.k_hi)))
-    for dps in (15, 30, DEFAULT_DPS):
-        with mpmath.workdps(dps):
-            log4 = mpmath.log(4)
-            for k, raw in zip(window, _bvdp_bounds(window)):
-                k_ = mpmath.mpf(k)
-                log_k = mpmath.log(k_)
-                expected = 4 * mpmath.log((k_ + 1) * log4) + 96000 * log_k**2 * mpmath.log(200 * log_k)
-                assert mpmath.mp.make_mpf(raw) == expected, (dps, k)
-                if dps == DEFAULT_DPS:
-                    assert report.per_k_bound[k] == expected, k
+            assert report.per_k_bound[k] is bvdp_count_bound(k), (n, k)
 
 
 def test_bound_report_fields():
@@ -204,52 +180,43 @@ def test_bound_report_fields():
     assert report.bracket[0] < report.bracket[1]
 
 
-def fresh_per_k(n):
-    """bound_report(n)'s per-k values as raw libmp tuples, straight from the kernel."""
-    _, k_hi = admissible_k_range(n)
-    with mpmath.workdps(DEFAULT_DPS):
-        return [tuple(map(int, v)) for v in _bvdp_bounds(range(3, int(mpmath.ceil(k_hi))))]
-
-
 def raw_per_k(ns):
     return [[tuple(map(int, v._mpf_)) for v in bound_report(n).per_k_bound.values()] for n in ns]
 
 
-def test_per_k_memo_in_either_order(monkeypatch):
-    # Here from an empty memo and in descending N: one growth, then two prefixes.
-    monkeypatch.setattr(bounds, "_PER_K_BOUNDS", ())
-    order = (10**1000, 10**8, 10**300)
-    descending = raw_per_k(order[:1])
-    grown = bounds._PER_K_BOUNDS
-    assert len(grown) == len(descending[0])
-    # bvdp_count_bound computes its one value directly, and smaller windows are read, not recomputed.
-    bvdp_count_bound(10**6)
-    monkeypatch.setattr(bounds, "_bvdp_bounds", None)
-    descending += raw_per_k(order[1:])
-    assert bounds._PER_K_BOUNDS is grown
-    # In a fresh process and in ascending N: three growths, each from where the last stopped.
-    src = str(Path(tauprimes.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    script = "from tauprimes.bounds import bound_report\n" + inspect.getsource(raw_per_k)
-    script += "print(raw_per_k((10**8, 10**300, 10**1000)))\n"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    ascending = dict(zip((10**8, 10**300, 10**1000), ast.literal_eval(proc.stdout)))
-    for n, got in zip(order, descending):
-        assert got == ascending[n] == fresh_per_k(n), n
+def test_per_k_memo_in_either_order():
+    order = (10**8, 10**300, 10**1000)
+    # Ascending from an empty memo: each report computes only the k past the last window.
+    _bvdp.cache_clear()
+    ascending = raw_per_k(order)
+    assert _bvdp.cache_info().misses == len(ascending[-1])
+    # Descending from an empty memo: one fill, then the smaller windows are read, not recomputed.
+    _bvdp.cache_clear()
+    descending = raw_per_k(order[::-1])[::-1]
+    assert _bvdp.cache_info().misses == len(descending[-1])
+    # Both equal the values computed afresh, outside the memo, at the precision its callers hold.
+    with mpmath.workdps(DEFAULT_DPS):
+        fresh = [tuple(map(int, _bvdp.__wrapped__(k)._mpf_)) for k in range(3, 3 + len(ascending[-1]))]
+    for got in (ascending, descending):
+        assert got == [fresh[: len(window)] for window in got]
 
 
-def test_per_k_memo_grown_at_a_callers_precision(monkeypatch):
-    monkeypatch.setattr(bounds, "_PER_K_BOUNDS", ())
+def test_per_k_memo_grown_at_a_callers_precision():
+    prec = mpmath.mp.prec
+    _bvdp.cache_clear()
     with mpmath.workdps(15):
         first = bound_report(10**8)
+        single = bvdp_count_bound(10**4)
+        assert mpmath.mp.dps == 15
     later = bound_report(10**8)
+    assert mpmath.mp.prec == prec
     with mpmath.workdps(50):
         for k in (3, 13):
             assert first.per_k_bound[k] == later.per_k_bound[k] == mpmath.mpf(FROZEN_BITS[k]), k
+        assert single == bvdp_count_bound(10**4) == mpmath.mpf(FROZEN_BITS[10**4])
 
 
-def test_per_k_memo_from_threads(monkeypatch):
+def test_per_k_memo_from_threads():
     prec = mpmath.mp.prec
     want = bound_report(10**1000)
     interval = sys.getswitchinterval()
@@ -257,7 +224,7 @@ def test_per_k_memo_from_threads(monkeypatch):
     try:
         for _ in range(4):
             # Four threads, more than the cores, start from an empty memo.
-            monkeypatch.setattr(bounds, "_PER_K_BOUNDS", ())
+            _bvdp.cache_clear()
             start, got = threading.Barrier(4), []
 
             def report():

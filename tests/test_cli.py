@@ -299,6 +299,20 @@ def test_tau_refusal_past_the_str_limit(capsys):
     assert err.startswith("error: n has the factor 999999999989,") and err.endswith("p <= 200000\n")
 
 
+@pytest.mark.parametrize(
+    "argv, k",
+    [
+        (("prime-power", "2", "1e9"), 10**9),
+        (("search", "--pmax", "3", "--kmax", "1e8", "--vmax", "1"), 10**8),
+        # 10^10001 = 2^10001 5^10001: its value would have more than 16000 digits.
+        (("tau", "10^10001"), 10_001),
+    ],
+    ids=["prime-power", "search", "tau"],
+)
+def test_exponent_past_the_ceiling(capsys, argv, k):
+    assert run(capsys, *argv) == (1, "", f"error: k = {k} exceeds the ceiling 10000\n")
+
+
 def test_prime_power(capsys):
     code, out, _ = run(capsys, "prime-power", "3", "2")
     assert code == 0 and out.strip() == "-113643"
@@ -438,10 +452,10 @@ def test_output_digests(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("order", [("1e8", "1e1000"), ("1e1000", "1e8")], ids=["ascending", "descending"])
-def test_bounds_digests_in_either_order(capsys, monkeypatch, order):
-    # From an empty per-k memo: ascending grows it twice; descending grows it
-    # once, then reads a prefix.
-    monkeypatch.setattr(bounds, "_PER_K_BOUNDS", ())
+def test_bounds_digests_in_either_order(capsys, order):
+    # From an empty per-k memo: ascending fills it in two steps; descending
+    # fills it once, then reads the smaller window from it.
+    bounds._bvdp.cache_clear()
     for n in order:
         argv = ("bounds", "--N", n)
         code, out, _ = run(capsys, *argv)
@@ -485,8 +499,11 @@ TAU4_HIT = {
         ({"payload": {"hits": [{**TAU4_HIT, "p": [1]}]}}, "field 'p' must be int"),
         ({"hits": []}, "payload.hits"),
         ({"payload": {"hits": [{n: v for n, v in TAU4_HIT.items() if n != "k"}]}}, "no field 'k'"),
+        # The census counts by residue23, so one that is not value mod 23 (-1472 = -64 * 23) is refused.
+        ({"payload": {"hits": [{**TAU4_HIT, "residue23": 99, "verdict": "ProbablePrime"}]}}, "'residue23' is 99"),
+        ({"payload": {"hits": [{**TAU4_HIT, "residue23": 5}]}}, "'residue23' is 5, but value mod 23 is 0"),
     ],
-    ids=["top-level-list", "p-is-a-list", "no-payload", "hit-without-k"],
+    ids=["top-level-list", "p-is-a-list", "no-payload", "hit-without-k", "residue-out-of-range", "residue-not-value-mod-23"],
 )
 def test_census_names_the_malformed_field(capsys, tmp_path, doc, field):
     path = tmp_path / "hits.json"
@@ -638,6 +655,21 @@ def test_one_precision_path():
         f"{path.name}:{n}"
         for path in sorted(src.glob("*.py"))
         if path.name != "_precision.py"
+        for n, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
+
+
+def test_one_raw_libmp_kernel():
+    # spectral.root_set's fixed-point cosines are the one kernel on raw libmp
+    # values; everything else computes in mpf, so the operators round for it.
+    src = Path(tauprimes.__file__).parent
+    pattern = re.compile(r"mpmath\.libmp|import .*\blibmp\b")
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "spectral.py"
         for n, line in enumerate(path.read_text().splitlines(), start=1)
         if pattern.search(line)
     ]

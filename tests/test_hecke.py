@@ -8,8 +8,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tauprimes import spectral
 from tauprimes.errors import BudgetExceededError, DegenerateDiscriminantError, MissingPrimeError
 from tauprimes.hecke import (
+    DEFAULT_MAX_K,
     Factorization,
     PrimeLocalData,
     closed_form_residual,
@@ -20,7 +22,8 @@ from tauprimes.hecke import (
     tau_prime_power,
 )
 from tauprimes.primality import primes_up_to
-from tauprimes.series import DEFAULT_LIMIT_CEILING, tau_values
+from tauprimes.search import search_prime_tau
+from tauprimes.series import DEFAULT_LIMIT_CEILING, delta_series, tau_values
 
 TAU2 = -24
 TAU3 = 252
@@ -41,6 +44,23 @@ def test_tau_prime_power_base_cases():
     assert tau_prime_power(local, 2) == TAU3**2 - 3**11 == -113643
     with pytest.raises(ValueError):
         tau_prime_power(local, -1)
+
+
+def test_exponent_ceiling():
+    # One ceiling on k for every route to tau(p^k), refused before any term is computed.
+    assert spectral.DEFAULT_MAX_K is DEFAULT_MAX_K
+    local = PrimeLocalData(2, TAU2)
+    message = f"^k = {DEFAULT_MAX_K + 1} exceeds the ceiling {DEFAULT_MAX_K}$"
+    for call in (
+        lambda: tau_prime_power(local, DEFAULT_MAX_K + 1),
+        lambda: search_prime_tau(3, DEFAULT_MAX_K + 1, 1, table=delta_series(3)),
+        lambda: spectral.growth_check(local, DEFAULT_MAX_K + 1),
+        # |tau(p^{n-1})| is the product of the magnitudes, so n - 1 is the exponent.
+        lambda: spectral.cyclotomic_factor_magnitudes(local, DEFAULT_MAX_K + 2),
+    ):
+        with pytest.raises(BudgetExceededError, match=message):
+            call()
+    tau_prime_power(local, DEFAULT_MAX_K)  # the ceiling itself is allowed
 
 
 def test_tau_prime_powers_matches_single_calls():
