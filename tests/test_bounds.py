@@ -167,6 +167,27 @@ def test_bound_report_per_k_matches_bvdp_count_bound():
             assert report.per_k_bound[k] is bvdp_count_bound(k), (n, k)
 
 
+def test_bound_report_per_k_matches_mpf_expression():
+    # The expression written out in mpf arithmetic as the reference, at
+    # DEFAULT_DPS: the report and bvdp_count_bound must reproduce it bit for
+    # bit whatever precision the caller holds.
+    report = bound_report(10**1000)
+    window = range(report.k_lo, int(mpmath.ceil(report.k_hi)))
+    with mpmath.workdps(DEFAULT_DPS):
+        log4 = mpmath.log(4)
+        expected = {}
+        for k in window:
+            k_ = mpmath.mpf(k)
+            log_k = mpmath.log(k_)
+            expected[k] = 4 * mpmath.log((k_ + 1) * log4) + 96000 * log_k**2 * mpmath.log(200 * log_k)
+    for k in window:
+        assert report.per_k_bound[k] == expected[k], k
+    for dps in (15, 30, DEFAULT_DPS):
+        with mpmath.workdps(dps):
+            for k in window:
+                assert bvdp_count_bound(k) == expected[k], (dps, k)
+
+
 def test_bound_report_fields():
     report = bound_report(10**8)
     assert report.k_lo == 3
