@@ -16,6 +16,7 @@ from typing import ClassVar, NamedTuple, Sequence
 import mpmath
 
 from ._precision import workdps
+from .hecke import _check_max_k
 
 DEFAULT_DPS = 50
 CROSSOVER_M_MAX = 200  # last decade M that positivity_crossover scans
@@ -159,7 +160,11 @@ def positivity_crossover() -> int | None:
 
 
 def bound_report(n: int) -> BoundReport:
-    """All bounds evaluated at ceiling N in one struct."""
+    """All bounds evaluated at ceiling N in one struct; the k window must end
+    at or below DEFAULT_MAX_K, so N <= 4^(DEFAULT_MAX_K + 1)."""
+    # The window ends at ceil(log_4 N) - 1, which N's bit length gives exactly:
+    # refused before mpmath converts N, which is quadratic in N's trailing zero bits.
+    _check_max_k(((n - 1).bit_length() + 1) // 2 - 1)
     k_lo, k_hi = admissible_k_range(n)
     with workdps(DEFAULT_DPS):
         window = range(k_lo, int(mpmath.ceil(k_hi)))

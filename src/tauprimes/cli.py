@@ -18,7 +18,7 @@ from . import __version__
 from .bounds import bound_report
 from .cache import dump_cache, table_for, tau_at, write_cache
 from .congruence import Class23Tag, classify_mod23, tau_mod23
-from .hecke import PrimeLocalData, factorize, tau_of_n, tau_prime_power
+from .hecke import PrimeLocalData, _check_max_k, factorize, tau_of_n, tau_prime_power
 from .primality import is_probable_prime, primes_up_to
 from .reports import (
     bound_report_to_dict,
@@ -96,11 +96,14 @@ def _cmd_series(args) -> int:
 
 def _cmd_tau(args) -> int:
     f = factorize(args.n)
+    for _, e in f.factors:
+        _check_max_k(e)  # before any tau(p) is looked up or computed
     print(tau_of_n(f, tau_at((p for p, _ in f.factors), args.cache)))
     return 0
 
 
 def _cmd_prime_power(args) -> int:
+    _check_max_k(args.k)
     _require_prime(args.p)
     print(tau_prime_power(PrimeLocalData(args.p, tau_at([args.p])[args.p]), args.k))
     return 0
@@ -155,6 +158,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _check_max_k(args.kmax)  # before the table is built
     hits = search_prime_tau(args.pmax, args.kmax, args.vmax, table=table_for(max(args.pmax, 1)))
     if args.csv:
         sys.stdout.write(hits_to_csv(hits))

@@ -5,15 +5,17 @@ product collapses to a sparse signed series over triangular numbers,
 
     prod_{n>=1} (1 - q^n)^3 = sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2},
 
-so the 24th power is the 8th power of that series.  The cube is packed
-into a single base-10^w Decimal (Kronecker substitution) and squared
-twice, giving cube^4; its coefficients are read back and packed again at
-the width their square needs, and squared once more.  libmpdec multiplies
-large operands with a number-theoretic transform, so the whole table costs
-three big multiplications, each on limbs sized from a proven bound for
-its own stage.  Each square is reduced mod 10^(n*w) by slicing its digit
-string, and the signed coefficients are read back by offsetting every limb
-by half the base.
+so the 24th power is the 8th power of that series.  The cube has only
+about sqrt(2N) nonzero terms below degree N, so cube^2 comes from a direct
+convolution of those terms (about pi N / 4 pairs).  cube^2 is then packed
+into a single base-10^w Decimal (Kronecker substitution) and squared,
+giving cube^4; its coefficients are read back, packed again at the width
+their square needs, and squared once more.  libmpdec multiplies large
+operands with a number-theoretic transform, so the whole table costs one
+sparse convolution and two big multiplications, each on limbs sized by
+Cauchy-Schwarz from the coefficients it squares.  Each square is reduced
+mod 10^(n*w) by slicing its digit string, and the signed coefficients are
+read back by offsetting every limb by half the base.
 
 A few single values tau(n) come from tau_values, by Niebur's convolution
 of the divisor sums (D. Niebur, Illinois J. Math. 19, 1975),
@@ -94,9 +96,25 @@ def _cube_terms(limit: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
-def _power(terms: Iterable[tuple[int, int]], n: int, w: int, squarings: int) -> list[int]:
-    """Coefficients below degree n of (sum c q^e)^(2^squarings), exact when
-    every input and output coefficient is below half = 5*10^(w-1) in size."""
+def _sparse_square(terms: tuple[tuple[int, int], ...], n: int) -> list[int]:
+    """Coefficients below degree n of (sum c q^e)^2 by direct convolution;
+    terms ascend in e, so each row of pairs e + f < n stops at the first f too big."""
+    sq = [0] * n
+    for i, (e, c) in enumerate(terms):
+        if 2 * e >= n:
+            break
+        sq[2 * e] += c * c
+        c += c  # every pair e < f appears twice in the square
+        for f, d in terms[i + 1 :]:
+            if e + f >= n:
+                break
+            sq[e + f] += c * d
+    return sq
+
+
+def _square(terms: Iterable[tuple[int, int]], n: int, w: int) -> list[int]:
+    """Coefficients below degree n of (sum c q^e)^2, exact when every input
+    and output coefficient is below half = 5*10^(w-1) in size."""
     digits = n * w
     pos = ["0" * w] * n
     neg = ["0" * w] * n
@@ -106,9 +124,8 @@ def _power(terms: Iterable[tuple[int, int]], n: int, w: int, squarings: int) -> 
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
     x = ctx.subtract(decimal.Decimal("".join(pos)), decimal.Decimal("".join(neg)))
     del pos, neg  # n limb strings, not needed while squaring
-    for _ in range(squarings):
-        # mod 10^digits by slicing the digit string (Decimal % is slow)
-        x = decimal.Decimal(str(ctx.multiply(x, x))[-digits:])
+    # mod 10^digits by slicing the digit string (Decimal % is slow)
+    x = decimal.Decimal(str(ctx.multiply(x, x))[-digits:])
     # x = sum d_i 10^(i*w) mod 10^digits with |d_i| < half; adding half to
     # every limb makes each one a plain w-digit chunk d_i + half.
     half = 5 * 10 ** (w - 1)
@@ -116,9 +133,18 @@ def _power(terms: Iterable[tuple[int, int]], n: int, w: int, squarings: int) -> 
     return [int(s[a - w : a]) - half for a in range(digits, 0, -w)]
 
 
+def _limb_width(h: list[int]) -> int:
+    """Digits of 2 sum h_i^2: at this width _square(enumerate(h), len(h), w) is exact.
+
+    Cauchy-Schwarz: |sum_{i+j=m} h_i h_j| <= sum h_i^2 for every m, and the
+    same sum bounds every |h_i| <= h_i^2, so h packs at that width too."""
+    return len(str(2 * sum(c * c for c in h)))
+
+
 def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTable:
-    """tau(1..limit) by squaring the packed cube series twice at limbs sized
-    for cube^4, then cube^4 once more at limbs sized for its square.
+    """tau(1..limit) from the sparse cube: one direct convolution gives
+    cube^2, then two packed squarings give cube^4 and cube^8, each on limbs
+    sized for its own square.
 
     Refuses limits above `ceiling` instead of attempting an unbounded
     allocation; raise the ceiling explicitly for larger runs.
@@ -127,16 +153,13 @@ def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTabl
         raise ValueError("limit must be >= 1")
     _refuse_over_ceiling(limit, ceiling)
     # Delta = q * cube^8, so tau(n) is the cube^8 coefficient at degree n-1.
-    terms = _cube_terms(limit - 1)
-    # Every cube^4 coefficient g_i below degree `limit` is at most W^4 in
-    # size, W the sum of |c|; the cube's own |c| <= W are smaller still.
-    g = _power(terms, limit, len(str(2 * sum(abs(c) for _, c in terms) ** 4)), 2)
-    # Cauchy-Schwarz: |sum_{i+j=m} g_i g_j| <= sum g_i^2 for every m < limit,
-    # and the same sum bounds every |g_i| <= g_i^2, so g packs at w too.
-    w = len(str(2 * sum(c * c for c in g)))
-    terms = enumerate(g)
-    del g  # the exhausted iterator frees cube^4 before the last squaring
-    return TauTable(tuple(_power(terms, limit, w, 1)))
+    h = _sparse_square(_cube_terms(limit - 1), limit)
+    for _ in range(2):
+        w = _limb_width(h)
+        terms = enumerate(h)
+        del h  # the exhausted iterator frees the list before the squaring
+        h = _square(terms, limit, w)
+    return TauTable(tuple(h))
 
 
 def _divisor_sums(limit: int) -> list[int]:

@@ -30,7 +30,7 @@ def no_precision_left():
 
 @pytest.fixture(scope="session")
 def table100k():
-    # ~1 s once per session (22/31-digit limbs); everything below 10^5
+    # ~0.5 s once per session (17/31-digit limbs); everything below 10^5
     # truncates from this.
     return delta_series(100_000)
 

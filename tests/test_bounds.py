@@ -21,7 +21,8 @@ from tauprimes.bounds import (
     positivity_crossover,
     progression_decade_floor,
 )
-from tauprimes.hecke import PrimeLocalData, closed_form_residual
+from tauprimes.errors import BudgetExceededError
+from tauprimes.hecke import DEFAULT_MAX_K, PrimeLocalData, closed_form_residual
 from tauprimes.spectral import min_gap, root_set
 
 
@@ -186,6 +187,15 @@ def test_bound_report_per_k_matches_mpf_expression():
         with mpmath.workdps(dps):
             for k in window:
                 assert bvdp_count_bound(k) == expected[k], (dps, k)
+
+
+def test_bound_report_window_ceiling():
+    # The window ends at ceil(log_4 N) - 1, so 4^(DEFAULT_MAX_K + 1) is the largest N taken.
+    _bvdp.cache_clear()
+    with pytest.raises(BudgetExceededError, match=f"^k = {DEFAULT_MAX_K + 1} exceeds the ceiling {DEFAULT_MAX_K}$"):
+        bound_report(4 ** (DEFAULT_MAX_K + 1) + 1)
+    assert _bvdp.cache_info().misses == 0  # refused before any per-k bound
+    assert max(bound_report(4**12 + 1).per_k_bound) == 12
 
 
 def test_bound_report_fields():

@@ -309,8 +309,16 @@ def test_tau_refusal_past_the_str_limit(capsys):
     ],
     ids=["prime-power", "search", "tau"],
 )
-def test_exponent_past_the_ceiling(capsys, argv, k):
+def test_exponent_past_the_ceiling(capsys, monkeypatch, argv, k):
+    # Refused before any tau(p) or table is computed.
+    forbid(monkeypatch, ["tau_at", "tau_values", "delta_series"], "tau computed for an exponent past the ceiling")
     assert run(capsys, *argv) == (1, "", f"error: k = {k} exceeds the ceiling 10000\n")
+
+
+def test_bounds_window_past_the_ceiling(capsys, monkeypatch):
+    # log_4(10^1000000) = 1660964.04..., so the k window would end at 1660964.
+    forbid(monkeypatch, ["admissible_k_range", "_bvdp"], "bounds evaluated for a window past the ceiling")
+    assert run(capsys, "bounds", "--N", "1e1000000") == (1, "", "error: k = 1660964 exceeds the ceiling 10000\n")
 
 
 def test_prime_power(capsys):

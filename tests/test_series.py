@@ -2,6 +2,8 @@
 
 import hashlib
 import io
+from bisect import bisect_left
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,20 +11,36 @@ from hypothesis import strategies as st
 
 from tauprimes.cache import dump_cache
 from tauprimes.errors import BudgetExceededError
-from tauprimes.series import DEFAULT_LIMIT_CEILING, TauTable, _cube_terms, delta_series, tau_values
+from tauprimes.series import (
+    DEFAULT_LIMIT_CEILING,
+    TauTable,
+    _cube_terms,
+    _limb_width,
+    _sparse_square,
+    delta_series,
+    tau_values,
+)
 from tauprimes.verify import brute_force_delta
 
 EXPANSION_HEAD = [1, -24, 252, -1472, 4830]
 LEHMER_VALUE = -80561663527802406257321747
 
-# Every n <= 2000 where a limb width of delta_series(n) grows: w4 = digits of
-# 2*W^4 (W the sum of |c| over the cube terms below degree n) or w8 = digits
-# of 2*sum g_i^2 (g the cube^4 coefficients below degree n).  At n - 1 the
-# narrower width is closest to its bound.
+# Sizes n <= 2000 where a limb width of delta_series(n) grows; at n - 1 the
+# narrower width is closest to its bound.  The engine squares twice, and each
+# stage packs at the digits of 2*sum h_i^2 over the coefficients h it squares:
+# cube^2 (steps 2, 3, 5, 10, 22, 44, 94, 203, 430, 921, 1990) and cube^4
+# (2, 3, 4, 6, 8, 12, 16, 22, 35, 50, 69, 106, 153, 226, 337, 477, 710, 1066,
+# 1540).  The rest (7, 46, 79, 137, 232, 407, 742, 1327) are kept from the
+# earlier first stage, which packed the cube at the digits of 2*W^4, W the
+# sum of |c| over the cube terms below degree n.
 WIDTH_STEPS = (
-    2, 3, 4, 6, 7, 8, 12, 16, 22, 35, 46, 50, 69, 79, 106, 137, 153,
-    226, 232, 337, 407, 477, 710, 742, 1066, 1327, 1540,
+    2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 22, 35, 44, 46, 50, 69, 79, 94, 106,
+    137, 153, 203, 226, 232, 337, 407, 430, 477, 710, 742, 921, 1066, 1327,
+    1540, 1990,
 )
+# brute_force_delta takes about 2 s at 1540 terms and grows as n^2; larger
+# sizes are checked against table100k, which TAUCACHE_DIGESTS pins.
+BRUTE_LIMIT = 1540
 
 # SHA-256 of the TAUCACHE bytes of tau(1..limit), recorded from the earlier
 # eight-multiplication engine; 2000 and 63001 equal perfbench's CACHE_DIGESTS.
@@ -67,11 +85,51 @@ def test_jacobi_cube_term_shape():
     assert count * (count + 1) // 2 > 5000
 
 
-def test_delta_series_matches_brute_force():
+def dense_square(a):
+    # (sum a_i q^i)^2 below degree len(a), term by term.
+    return [sum(map(mul, a[: m + 1], a[m::-1])) for m in range(len(a))]
+
+
+def test_sparse_square_of_the_cube():
+    for limit in range(61):
+        cube = brute_cube(limit)
+        assert _sparse_square(_cube_terms(limit), limit + 1) == dense_square(cube), limit
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 300), st.integers(-(10**40), 10**40), max_size=40),
+    st.integers(1, 400),
+)
+def test_sparse_square_matches_dense_square(series, n):
+    # Any sparse series with ascending exponents, some of them at or past n.
+    dense = [series.get(e, 0) for e in range(n)]
+    assert _sparse_square(tuple(sorted(series.items())), n) == dense_square(dense)
+
+
+def width_steps(h):
+    # Each n where _limb_width(h[:n]) exceeds _limb_width(h[:n - 1]); it never shrinks.
+    sizes = range(1, len(h) + 1)
+    widths = range(_limb_width(h[:1]) + 1, _limb_width(h) + 1)
+    return {sizes[bisect_left(sizes, w, key=lambda n: _limb_width(h[:n]))] for w in widths}
+
+
+def test_width_steps_cover_both_stages():
+    # The widths of the two squarings, cube^2 -> cube^4 and cube^4 -> cube^8.
+    cube = [0] * 2000
+    for e, c in _cube_terms(len(cube) - 1):
+        cube[e] = c
+    cube2 = dense_square(cube)
+    steps = width_steps(cube2) | width_steps(dense_square(cube2))
+    assert steps <= set(WIDTH_STEPS), sorted(steps - set(WIDTH_STEPS))
+
+
+def test_delta_series_matches_brute_force(table100k):
     sizes = {*range(1, 65), 500, *WIDTH_STEPS, *(n - 1 for n in WIDTH_STEPS)}
-    oracle = brute_force_delta(max(sizes))
+    oracle = brute_force_delta(BRUTE_LIMIT)
     for n in sorted(sizes):
-        assert list(delta_series(n).coeffs) == oracle[:n], n
+        want = oracle[:n] if n <= BRUTE_LIMIT else list(table100k.coeffs[:n])
+        assert list(delta_series(n).coeffs) == want, n
 
 
 @settings(max_examples=25, deadline=None)
