@@ -1,9 +1,11 @@
 """Explicit count bounds for prime tau values in arithmetic progressions mod 23.
 
-All evaluations use natural logarithms at the fixed working precision
+All evaluations use natural logarithms on a private mpmath context fixed at
 DEFAULT_DPS = 50 digits, comfortably past the 30 significant digits the
-report promises.  Constants that are ineffective in the underlying theorems
-are never given numeric values; they ride along as caveat strings.
+report promises; the values are of its mpf class and compute at 50 digits,
+whatever mpmath.mp's precision.  Constants that are ineffective in the
+underlying theorems are never given numeric values; they ride along as
+caveat strings.
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ from typing import ClassVar, NamedTuple, Sequence
 
 import mpmath
 
-from ._precision import workdps
+from .congruence import excluded_b_set
 from .hecke import _check_max_k
 
 DEFAULT_DPS = 50
 CROSSOVER_M_MAX = 200  # last decade M that positivity_crossover scans
-with workdps(DEFAULT_DPS):
-    _LOG4 = mpmath.log(4)  # of the per-k bound, computed once rather than for every k
+# Set once, so threads share it; keep fprod, which sets the precision, off it.
+# An int N enters as _CTX.mpf((N, 0)), rounded at DEFAULT_DPS: the same bits as
+# the exact int -> mpf conversion, which is quadratic in N's trailing zero bits.
+_CTX = mpmath.MPContext()
+_CTX.dps = DEFAULT_DPS
+_LOG4 = _CTX.log(4)  # of the per-k bound, computed once rather than for every k
 
 CAVEATS = (
     "the zero-free-region constant in the progression prime counts is ineffective; "
@@ -60,26 +66,24 @@ def admissible_k_range(n: int) -> tuple[int, mpmath.mpf]:
     """(3, log N / (2 log 2)): the k window where tau(p^{2k}) can be prime below N."""
     if n < 2:
         raise ValueError("N must be >= 2")
-    with workdps(DEFAULT_DPS):
-        return 3, mpmath.log(n) / (2 * mpmath.log(2))
+    return 3, _CTX.log(_CTX.mpf((n, 0))) / (2 * _CTX.log(2))
 
 
 def bvdp_count_bound(k: int) -> mpmath.mpf:
     """4 log((k+1) log 4) + 96000 (log k)^2 log(200 log k), the per-k cap on
-    rational approximations close enough to a root of G_k(1, y); k >= 3.
-    Computed once per k in a process, at DEFAULT_DPS whatever the caller's precision."""
+    rational approximations close enough to a root of G_k(1, y); 3 <= k <= DEFAULT_MAX_K.
+    Computed once per k in a process, at DEFAULT_DPS."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    with workdps(DEFAULT_DPS):
-        return _bvdp(k)
+    _check_max_k(k)
+    return _bvdp(k)
 
 
 @cache
 def _bvdp(k: int) -> mpmath.mpf:
-    # Callers hold workdps(DEFAULT_DPS): one block per window, not one per k.
-    k_ = mpmath.mpf(k)
-    log_k = mpmath.log(k_)
-    return 4 * mpmath.log((k_ + 1) * _LOG4) + 96000 * log_k**2 * mpmath.log(200 * log_k)
+    k_ = _CTX.mpf(k)
+    log_k = _CTX.log(k_)
+    return 4 * _CTX.log((k_ + 1) * _LOG4) + 96000 * log_k**2 * _CTX.log(200 * log_k)
 
 
 def attainable_prime_ceiling(n: int) -> mpmath.mpf:
@@ -87,19 +91,17 @@ def attainable_prime_ceiling(n: int) -> mpmath.mpf:
     can occur as tau(p^{2k}) over the admissible k window."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    with workdps(DEFAULT_DPS):
-        n_ = mpmath.mpf(n)
-        return mpmath.power(n_, mpmath.mpf(9) / 10) * mpmath.log(n_) / (2 * mpmath.log(2))
+    n_ = _CTX.mpf((n, 0))
+    return _CTX.power(n_, _CTX.mpf(9) / 10) * _CTX.log(n_) / (2 * _CTX.log(2))
 
 
 def progression_decade_floor(m) -> mpmath.mpf:
     """7 * 10^M / (11 log 10 (M+1)): floor on signed primes of one fixed
     nonzero class mod 23 with 10^M <= |l| <= 10^{M+1}; M >= 1."""
-    with workdps(DEFAULT_DPS):
-        m_ = mpmath.mpf(m)
-        if m_ < 1:
-            raise ValueError("M must be >= 1")
-        return 7 * mpmath.power(10, m_) / (11 * mpmath.log(10) * (m_ + 1))
+    m_ = _CTX.mpf(m)
+    if m_ < 1:
+        raise ValueError("M must be >= 1")
+    return 7 * _CTX.power(10, m_) / (11 * _CTX.log(10) * (m_ + 1))
 
 
 def pi_bracket(x) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -108,43 +110,40 @@ def pi_bracket(x) -> tuple[mpmath.mpf, mpmath.mpf]:
     Holds for x beyond an ineffective threshold; reported unconditionally
     with that caveat attached at the report level.
     """
-    with workdps(DEFAULT_DPS):
-        x_ = mpmath.mpf(x)
-        if x_ <= 1:
-            raise ValueError("x must be > 1")
-        center = x_ / (11 * mpmath.log(x_))
-        return (mpmath.mpf(9) / 10 * center, mpmath.mpf(11) / 10 * center)
+    x_ = _CTX.mpf((x, 0) if isinstance(x, int) else x)
+    if x_ <= 1:
+        raise ValueError("x must be > 1")
+    center = x_ / (11 * _CTX.log(x_))
+    return (_CTX.mpf(9) / 10 * center, _CTX.mpf(11) / 10 * center)
 
 
 def density_fraction() -> Fraction:
     """Dirichlet density of the signed classes covered by the exclusion list."""
-    return Fraction(18, 22)
+    return Fraction(len(excluded_b_set()), 22)
 
 
 def dirichlet_partial_sum(primes: Sequence[int], s) -> DirichletSum:
     """sum 1/|p|^s over signed primes, with the s->1 normalizer 2 log(1/(s-1))."""
-    with workdps(DEFAULT_DPS):
-        s_ = mpmath.mpf(s)
-        if s_ <= 1:
-            raise ValueError("s must be > 1")
-        for p in primes:
-            if abs(p) < 2:
-                raise ValueError(f"{p} is not a signed prime")
-        total = mpmath.fsum(mpmath.power(abs(p), -s_) for p in primes)
-        normalizer = 2 * mpmath.log(1 / (s_ - 1))
-        # The normalizer is the s -> 1+ density scale; it vanishes at s = 2.
-        ratio = total / normalizer if normalizer != 0 else mpmath.inf
-        return DirichletSum(total, normalizer, ratio)
+    s_ = _CTX.mpf(s)
+    if s_ <= 1:
+        raise ValueError("s must be > 1")
+    for p in primes:
+        if abs(p) < 2:
+            raise ValueError(f"{p} is not a signed prime")
+    total = _CTX.fsum(_CTX.power(abs(p), -s_) for p in primes)
+    normalizer = 2 * _CTX.log(1 / (s_ - 1))
+    # The normalizer is the s -> 1+ density scale; it vanishes at s = 2.
+    ratio = total / normalizer if normalizer != 0 else _CTX.inf
+    return DirichletSum(total, normalizer, ratio)
 
 
 def decade_margin(m: int) -> mpmath.mpf:
     """Floor minus ceiling at N = 10^{M+1}: positive once the progression
     supply provably outruns the attainable tau values."""
-    with workdps(DEFAULT_DPS):
-        n = 10 ** (m + 1)
-        _, k_hi = admissible_k_range(n)
-        k_count = mpmath.ceil(k_hi) - 3
-        return progression_decade_floor(m) - attainable_prime_ceiling(n) * k_count
+    n = 10 ** (m + 1)
+    _, k_hi = admissible_k_range(n)
+    k_count = _CTX.ceil(k_hi) - 3
+    return progression_decade_floor(m) - attainable_prime_ceiling(n) * k_count
 
 
 def positivity_crossover() -> int | None:
@@ -163,17 +162,16 @@ def bound_report(n: int) -> BoundReport:
     """All bounds evaluated at ceiling N in one struct; the k window must end
     at or below DEFAULT_MAX_K, so N <= 4^(DEFAULT_MAX_K + 1)."""
     # The window ends at ceil(log_4 N) - 1, which N's bit length gives exactly:
-    # refused before mpmath converts N, which is quadratic in N's trailing zero bits.
+    # refused before any per-k bound.
     _check_max_k(((n - 1).bit_length() + 1) // 2 - 1)
     k_lo, k_hi = admissible_k_range(n)
-    with workdps(DEFAULT_DPS):
-        window = range(k_lo, int(mpmath.ceil(k_hi)))
-        per_k = {k: _bvdp(k) for k in window}
-        m = mpmath.log10(mpmath.mpf(n)) - 1
-        floor = progression_decade_floor(m) if m >= 1 else mpmath.mpf("nan")
-        n_ = mpmath.mpf(n)
-        sqrt_ceiling = mpmath.sqrt(n_)
-        census_ceiling = sqrt_ceiling + mpmath.power(n_, mpmath.mpf(3) / 11)
+    window = range(k_lo, int(_CTX.ceil(k_hi)))
+    per_k = {k: _bvdp(k) for k in window}
+    n_ = _CTX.mpf((n, 0))
+    m = _CTX.log10(n_) - 1
+    floor = progression_decade_floor(m) if m >= 1 else _CTX.nan
+    sqrt_ceiling = _CTX.sqrt(n_)
+    census_ceiling = sqrt_ceiling + _CTX.power(n_, _CTX.mpf(3) / 11)
     return BoundReport(
         n=n,
         k_lo=k_lo,
@@ -181,7 +179,7 @@ def bound_report(n: int) -> BoundReport:
         per_k_bound=per_k,
         attainable_ceiling=attainable_prime_ceiling(n),
         progression_floor=floor,
-        bracket=pi_bracket(n),
+        bracket=pi_bracket(n_),
         density=density_fraction(),
         sqrt_sample_ceiling=sqrt_ceiling,
         census_sample_ceiling=census_ceiling,

@@ -16,11 +16,17 @@ magnitudes |Phi_d(alpha, beta)| over divisors d > 1 of n.
 root_set takes one cosine and builds the rest by Chebyshev's recurrence in
 fixed point; each root is bit-identical to the per-root cosine _alpha,
 which it calls itself for the few roots near a rounding midpoint.
+
+root_set, min_gap and approximation_quality work at max(50, 4k) digits on a
+private mpmath context per thread, cyclotomic_factor_magnitudes on hecke's.
+Each real returned is a plain mpmath.mpf of the same bits, so arithmetic on
+it runs at the caller's precision; mpmath.mp's is never read or set.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -30,15 +36,28 @@ from typing import NamedTuple
 import mpmath
 from mpmath import libmp
 
-from ._precision import workdps
 from .errors import BudgetExceededError
-from .hecke import CLOSED_FORM_DIGITS, DEFAULT_MAX_K, PrimeLocalData, _check_max_k, hecke_terms, local_angle
+from .hecke import _CTX as _CLOSED_FORM_CTX, DEFAULT_MAX_K, PrimeLocalData, _check_max_k, hecke_terms, local_angle
 
 # root_set's fixed-point cosines carry this many bits beyond the context
 # precision (plus 2 bitlen(2k+1)), and defer to mpmath.cos for any root whose
 # value lies within 2^-_MIDPOINT_MARGIN_BITS ulp of a rounding midpoint.
 _GUARD_BITS = 64
 _MIDPOINT_MARGIN_BITS = 6
+
+
+class _Thread(threading.local):
+    # One context per thread; each call sets its digits in a workdps block on it.
+    def __init__(self):
+        self.ctx = mpmath.MPContext()
+
+
+_THREAD = _Thread()
+
+
+def _plain(v) -> mpmath.mpf:
+    # The same bits as a value of mpmath.mp, which reads no precision to make.
+    return mpmath.mp.make_mpf(v._mpf_)
 
 
 def _working_digits(k: int, precision_digits: int | None) -> int:
@@ -119,9 +138,9 @@ def eval_dehomogenized(poly: EvenIndexPoly, y):
     return total
 
 
-def _alpha(j: int, k: int) -> mpmath.mpf:
-    """alpha_{j,k} = 4 cos^2(pi j/(2k+1)) at the current working precision."""
-    return 4 * mpmath.cos(mpmath.pi * j / (2 * k + 1)) ** 2
+def _alpha(ctx: mpmath.MPContext, j: int, k: int) -> mpmath.mpf:
+    """alpha_{j,k} = 4 cos^2(pi j/(2k+1)) at ctx's precision."""
+    return 4 * ctx.cos(ctx.pi * j / (2 * k + 1)) ** 2
 
 
 def root_set(k: int, precision_digits: int | None = None) -> RootSet:
@@ -132,7 +151,7 @@ def root_set(k: int, precision_digits: int | None = None) -> RootSet:
     in bits, Chebyshev's recurrence C_{j+1} = 2 cos(pi/n) C_j - C_{j-1}
     runs in fixed point at W = p + _GUARD_BITS + 2 bitlen(n) bits, where
     its error stays below about k n / pi units of 2^-W.  _alpha takes the
-    cosine of x_j = mpmath.pi * j / n, rounded to p bits, not of pi j/n, so
+    cosine of x_j = ctx.pi * j / n, rounded to p bits, not of pi j/n, so
     C_j gets the first-order correction -(x_j - pi j/n) sin(pi j/n); as
     |x_j - pi j/n| < 2^(2-p), a float sine suffices and the dropped square
     is below 2^(4-2p).  The result, rounded to nearest at p bits, is what
@@ -145,24 +164,26 @@ def root_set(k: int, precision_digits: int | None = None) -> RootSet:
     _check_max_k(k)
     digits = _working_digits(k, precision_digits)
     n = 2 * k + 1
-    with workdps(digits):
-        prec = mpmath.mp.prec
+    ctx = _THREAD.ctx
+    with ctx.workdps(digits):
+        prec = ctx.prec
         wide = prec + _GUARD_BITS + 2 * n.bit_length()
         pi_wide = libmp.pi_fixed(wide)
         cos1 = libmp.to_fixed(libmp.mpf_cos(libmp.from_man_exp(pi_wide // n, -wide), wide), wide)
         alphas = []
         prev, cur = 1 << wide, cos1  # C_0, C_1 scaled by 2^wide
         for j in range(1, k + 1):
-            _, man, exp, _ = (mpmath.pi * j / n)._mpf_  # _alpha's argument x_j
+            _, man, exp, _ = (ctx.pi * j / n)._mpf_  # _alpha's argument x_j
             delta = (man << (exp + wide)) - pi_wide * j // n
             value = cur - int(delta * math.sin(math.pi * j / n))
             shift = value.bit_length() - prec  # one ulp at p bits is 2^shift
             rest = value & ((1 << shift) - 1)
             if abs(rest - (1 << (shift - 1))) < 1 << (shift - _MIDPOINT_MARGIN_BITS):
-                alphas.append(_alpha(j, k))
+                alpha = _alpha(ctx, j, k)
             else:
-                c = mpmath.mp.make_mpf(libmp.from_man_exp(value, -wide, prec, libmp.round_nearest))
-                alphas.append(4 * c**2)
+                c = ctx.make_mpf(libmp.from_man_exp(value, -wide, prec, libmp.round_nearest))
+                alpha = 4 * c**2
+            alphas.append(_plain(alpha))
             prev, cur = cur, ((cos1 * cur) >> (wide - 1)) - prev
     return RootSet(k, tuple(alphas), digits)
 
@@ -177,9 +198,10 @@ def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:
     if k < 2:
         raise ValueError("k must be >= 2 for a gap to exist")
     _check_max_k(k)
-    with workdps(_working_digits(k, precision_digits)):
-        a = mpmath.pi / (2 * k + 1)
-        return 4 * mpmath.sin(a) * mpmath.sin(2 * a)
+    ctx = _THREAD.ctx
+    with ctx.workdps(_working_digits(k, precision_digits)):
+        a = ctx.pi / (2 * k + 1)
+        return _plain(4 * ctx.sin(a) * ctx.sin(2 * a))
 
 
 def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[int, mpmath.mpf]]:
@@ -193,20 +215,20 @@ def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[in
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_max_k(n - 1)
+    ctx = _CLOSED_FORM_CTX
     out = []
-    with workdps(CLOSED_FORM_DIGITS):
-        r, theta = local_angle(local)
-        alpha = r * mpmath.exp(mpmath.mpc(0, theta))
-        beta = mpmath.conj(alpha)
-        for d in range(2, n + 1):
-            if n % d:
-                continue
-            mag = mpmath.mpf(1)
-            for m in range(1, d + 1):
-                if gcd(m, d) == 1:
-                    zeta = mpmath.expjpi(mpmath.mpf(2 * m) / d)
-                    mag *= abs(alpha - zeta * beta)
-            out.append((d, mag))
+    r, theta = local_angle(local)
+    alpha = r * ctx.exp(ctx.mpc(0, theta))
+    beta = ctx.conj(alpha)
+    for d in range(2, n + 1):
+        if n % d:
+            continue
+        mag = ctx.mpf(1)
+        for m in range(1, d + 1):
+            if gcd(m, d) == 1:
+                zeta = ctx.expjpi(ctx.mpf(2 * m) / d)
+                mag *= abs(alpha - zeta * beta)
+        out.append((d, _plain(mag)))
     return out
 
 
@@ -245,13 +267,14 @@ def approximation_quality(local: PrimeLocalData, k: int) -> ApproximationQuality
     digits = _working_digits(k, None)
     approx = Fraction(local.y_p, local.x_p)
     height = max(abs(approx.numerator), approx.denominator)
-    with workdps(digits):
-        ratio = mpmath.mpf(approx.numerator) / approx.denominator
-        j_c = (2 * k + 1) / mpmath.pi * mpmath.acos(min(mpmath.sqrt(ratio) / 2, 1))
-        floor = int(mpmath.floor(j_c))
+    ctx = _THREAD.ctx
+    with ctx.workdps(digits):
+        ratio = ctx.mpf(approx.numerator) / approx.denominator
+        j_c = (2 * k + 1) / ctx.pi * ctx.acos(min(ctx.sqrt(ratio) / 2, 1))
+        floor = int(ctx.floor(j_c))
         window = range(max(1, floor - 1), min(k, floor + 2) + 1)
-        distances = {j: abs(_alpha(j, k) - ratio) for j in window}
+        distances = {j: abs(_alpha(ctx, j, k) - ratio) for j in window}
         j_star = min(distances, key=distances.__getitem__)
         distance = distances[j_star]
-        threshold = 1 / (64 * mpmath.power(height, mpmath.mpf(5) / 2))
-        return ApproximationQuality(j_star, distance, threshold, bool(distance < threshold))
+        threshold = 1 / (64 * ctx.power(height, ctx.mpf(5) / 2))
+        return ApproximationQuality(j_star, _plain(distance), _plain(threshold), bool(distance < threshold))

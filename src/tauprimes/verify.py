@@ -21,7 +21,6 @@ from pathlib import Path
 import mpmath
 
 from . import bounds as bnd
-from ._precision import workdps
 from .cache import table_for
 from .congruence import (
     Class23,
@@ -212,6 +211,7 @@ def _congruence_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
 
 
 def _spectral_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
+    ctx = mpmath.MPContext()
     table = verifier.table(50)
     bad = compared = 0
     for p in primes_up_to(20):
@@ -235,11 +235,11 @@ def _spectral_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
         digits = rs.precision_digits
         # Guard digits so Horner rounding stays subordinate to the
         # digits-digit accuracy of the roots themselves.
-        with workdps(2 * digits + 20):
-            tol = mpmath.mpf(10) ** (-(digits - 10)) * norm1
-            for alpha in rs.alphas:
-                roots += 1
-                worst = max(worst, float(abs(eval_dehomogenized(poly, alpha)) / tol))
+        ctx.dps = 2 * digits + 20
+        tol = ctx.mpf(10) ** (-(digits - 10)) * norm1
+        for alpha in rs.alphas:
+            roots += 1
+            worst = max(worst, float(abs(eval_dehomogenized(poly, ctx.mpf(alpha))) / tol))
     yield (
         "trig roots annihilate G_k(1, y), k <= 50",
         worst < 1.0,
@@ -247,7 +247,7 @@ def _spectral_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
     )
 
     gaps = [(k, digits) for k in range(3, 201) for digits in (None, 50)]
-    low = [(k, d) for k, d in gaps if not min_gap(k, d) > (mpmath.pi / (2 * k + 1)) ** 2]
+    low = [(k, d) for k, d in gaps if not min_gap(k, d) > (math.pi / (2 * k + 1)) ** 2]
     yield (
         "root separation beats (pi/(2k+1))^2, 3 <= k <= 200",
         not low,
@@ -255,19 +255,19 @@ def _spectral_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
         + f" over {len(gaps)} gaps",
     )
 
-    worst_rel = mpmath.mpf(0)
+    ctx.dps = 80
+    worst_rel = ctx.mpf(0)
     compared = 0
-    with workdps(80):
-        for p in primes_up_to(13):
-            local = PrimeLocalData(p, table[p])
-            values = _two_term_powers(p, local.tau_p, 19)
-            for n in range(2, 21):
-                prod = mpmath.mpf(1)
-                for _, m in cyclotomic_factor_magnitudes(local, n):
-                    prod *= m
-                exact = abs(values[n - 1])
-                compared += 1
-                worst_rel = max(worst_rel, abs(prod - exact) / exact if exact else mpmath.inf)
+    for p in primes_up_to(13):
+        local = PrimeLocalData(p, table[p])
+        values = _two_term_powers(p, local.tau_p, 19)
+        for n in range(2, 21):
+            prod = ctx.mpf(1)
+            for _, m in cyclotomic_factor_magnitudes(local, n):
+                prod *= m
+            exact = abs(values[n - 1])
+            compared += 1
+            worst_rel = max(worst_rel, abs(prod - exact) / exact if exact else ctx.inf)
     yield (
         "cyclotomic magnitudes rebuild |tau(p^{n-1})|, p <= 13, n <= 20",
         worst_rel < 1e-9,
@@ -385,52 +385,53 @@ def _search_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
 
 
 def _bounds_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
+    ctx = mpmath.MPContext()
+    ctx.dps = 100
+
+    def agree(value, alt):
+        return abs(ctx.mpf(value) - alt) / alt < ctx.mpf(10) ** -29
+
     checks = []
-    with workdps(100):
-
-        def agree(value, alt):
-            return abs(value - alt) / alt < mpmath.mpf(10) ** -29
-
-        _, k_hi = bnd.admissible_k_range(64)
-        checks.append(abs(k_hi - 3) < mpmath.mpf(10) ** -90)
-        for n in (10**6, 10**9, 10**12):
-            k_lo, k_hi = bnd.admissible_k_range(n)
-            checks.append(k_lo == 3 and agree(k_hi, mpmath.log(n, 2) / 2))
-        for k in [*range(3, 41), 1000]:
-            k_ = mpmath.mpf(k)
-            alt = mpmath.fsum(
-                [
-                    4 * (mpmath.log(k_ + 1) + mpmath.log(mpmath.log(4))),
-                    96000 * mpmath.log(k_) ** 2 * (mpmath.log(200) + mpmath.log(mpmath.log(k_))),
-                ]
-            )
-            checks.append(agree(bnd.bvdp_count_bound(k), alt))
-        for n in (10**6, 10**9, 10**12):
-            ln_n = mpmath.log(n)
-            alt = mpmath.exp(mpmath.mpf(9) / 10 * ln_n) * ln_n / mpmath.log(4)
-            checks.append(agree(bnd.attainable_prime_ceiling(n), alt))
-        for m in range(1, 13):
-            alt = 7 * mpmath.mpf(10) ** m / (11 * mpmath.log(10) * (m + 1))
-            checks.append(agree(bnd.progression_decade_floor(m), alt))
-        lower, upper = bnd.pi_bracket(10**6)
-        center = mpmath.mpf(10**6) / (11 * mpmath.log(10**6))
-        checks.append(agree(lower, mpmath.mpf("0.9") * center))
-        checks.append(agree(upper, mpmath.mpf("1.1") * center))
+    _, k_hi = bnd.admissible_k_range(64)
+    checks.append(abs(ctx.mpf(k_hi) - 3) < ctx.mpf(10) ** -90)
+    for n in (10**6, 10**9, 10**12):
+        k_lo, k_hi = bnd.admissible_k_range(n)
+        checks.append(k_lo == 3 and agree(k_hi, ctx.log(n, 2) / 2))
+    for k in [*range(3, 41), 1000]:
+        k_ = ctx.mpf(k)
+        alt = ctx.fsum(
+            [
+                4 * (ctx.log(k_ + 1) + ctx.log(ctx.log(4))),
+                96000 * ctx.log(k_) ** 2 * (ctx.log(200) + ctx.log(ctx.log(k_))),
+            ]
+        )
+        checks.append(agree(bnd.bvdp_count_bound(k), alt))
+    for n in (10**6, 10**9, 10**12):
+        ln_n = ctx.log(n)
+        alt = ctx.exp(ctx.mpf(9) / 10 * ln_n) * ln_n / ctx.log(4)
+        checks.append(agree(bnd.attainable_prime_ceiling(n), alt))
+    for m in range(1, 13):
+        alt = 7 * ctx.mpf(10) ** m / (11 * ctx.log(10) * (m + 1))
+        checks.append(agree(bnd.progression_decade_floor(m), alt))
+    lower, upper = bnd.pi_bracket(10**6)
+    center = ctx.mpf(10**6) / (11 * ctx.log(10**6))
+    checks.append(agree(lower, ctx.mpf("0.9") * center))
+    checks.append(agree(upper, ctx.mpf("1.1") * center))
     yield (
         "formulas agree with independent re-evaluation to 30 digits",
         all(checks),
         f"{sum(checks)}/{len(checks)} comparisons",
     )
 
-    with workdps(50):
-        ratio_ok = all(
-            abs(
-                bnd.progression_decade_floor(m + 1) / bnd.progression_decade_floor(m)
-                - mpmath.mpf(10 * (m + 1)) / (m + 2)
-            )
-            < mpmath.mpf(10) ** -40
-            for m in range(1, 30)
+    ctx.dps = 50
+    ratio_ok = all(
+        abs(
+            ctx.mpf(bnd.progression_decade_floor(m + 1)) / bnd.progression_decade_floor(m)
+            - ctx.mpf(10 * (m + 1)) / (m + 2)
         )
+        < ctx.mpf(10) ** -40
+        for m in range(1, 30)
+    )
     neg_ok = all(bnd.decade_margin(m) < 0 for m in range(6, 13))
     crossover = bnd.positivity_crossover()
     # The crossover is a sign change, not only the start of a positive run.
@@ -452,8 +453,7 @@ def _bounds_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
     )
 
     ds = bnd.dirichlet_partial_sum([3, -3], 2)
-    with workdps(50):
-        sum_ok = abs(ds.partial_sum - mpmath.mpf(2) / 9) < mpmath.mpf(10) ** -40
+    sum_ok = abs(ctx.mpf(ds.partial_sum) - ctx.mpf(2) / 9) < ctx.mpf(10) ** -40
     ok = bnd.density_fraction() == Fraction(9, 11) and sum_ok
     yield (
         "density 18/22 and the two-term Dirichlet sum",

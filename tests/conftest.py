@@ -3,6 +3,7 @@ import os
 import mpmath
 import pytest
 
+from tauprimes import bounds, hecke
 from tauprimes.cache import write_cache
 from tauprimes.series import delta_series
 
@@ -26,6 +27,16 @@ def no_precision_left():
     yield
     if mpmath.mp.prec != prec:
         pytest.fail(f"the test left mpmath.mp.prec at {mpmath.mp.prec}, not {prec}")
+
+
+@pytest.fixture(autouse=True)
+def fixed_contexts_kept():
+    # bounds and hecke share one context each across threads, safe only
+    # while nothing changes its precision.
+    yield
+    for ctx, dps in ((bounds._CTX, bounds.DEFAULT_DPS), (hecke._CTX, hecke.CLOSED_FORM_DIGITS)):
+        if ctx.dps != dps:
+            pytest.fail(f"the test left a fixed context at {ctx.dps} digits, not {dps}")
 
 
 @pytest.fixture(scope="session")

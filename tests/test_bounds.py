@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +24,7 @@ from tauprimes.bounds import (
 )
 from tauprimes.errors import BudgetExceededError
 from tauprimes.hecke import DEFAULT_MAX_K, PrimeLocalData, closed_form_residual
-from tauprimes.spectral import min_gap, root_set
+from tauprimes.spectral import approximation_quality, cyclotomic_factor_magnitudes, min_gap, root_set
 
 
 def test_k_range_exact_at_64():
@@ -82,9 +83,29 @@ def test_bvdp_growth_is_polylog():
     # the per-k cap grows like (log k)^3, glacially
     with mpmath.workdps(50):
         v3 = bvdp_count_bound(3)
-        v1e6 = bvdp_count_bound(10**6)
-        assert v3 > 0 and v1e6 > v3
-        assert v1e6 < 96000 * mpmath.log(10**6) ** 2 * mpmath.log(200 * mpmath.log(10**6)) + 200
+        v_max = bvdp_count_bound(DEFAULT_MAX_K)
+        assert v3 > 0 and v_max > v3
+        assert v_max < 96000 * mpmath.log(DEFAULT_MAX_K) ** 2 * mpmath.log(200 * mpmath.log(DEFAULT_MAX_K)) + 200
+
+
+def test_bvdp_past_the_ceiling():
+    # Refused before the memo, so it holds at most DEFAULT_MAX_K values.
+    _bvdp.cache_clear()
+    with pytest.raises(BudgetExceededError, match=f"^k = {DEFAULT_MAX_K + 1} exceeds the ceiling {DEFAULT_MAX_K}$"):
+        bvdp_count_bound(DEFAULT_MAX_K + 1)
+    assert _bvdp.cache_info().misses == 0
+
+
+def test_huge_n_converts_once_rounded():
+    # An exact int -> mpf conversion of 10^1000000 alone takes about 7 s.
+    n = 10**1000000
+    start = time.perf_counter()
+    _, k_hi = admissible_k_range(n)
+    ceiling = attainable_prime_ceiling(n)
+    assert time.perf_counter() - start < 2
+    with mpmath.workdps(DEFAULT_DPS):
+        assert abs(k_hi - 1000000 * mpmath.log(10) / mpmath.log(4)) < mpmath.mpf(10) ** -40
+        assert ceiling > mpmath.power(10, 900000)
 
 
 def test_attainable_ceiling():
@@ -307,3 +328,42 @@ def test_precision_blocks_of_two_modules_from_threads():
             assert mpmath.mp.prec == prec
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_foreign_precision_churn():
+    # Code outside the package that changes mpmath.mp's precision, here a
+    # thread looping workdps(5), must change no value the package returns,
+    # and restores mpmath.mp's precision undisturbed.
+    local = PrimeLocalData(2, -24)
+
+    def calls():
+        return (
+            bound_report(10**1000),
+            min_gap(300),
+            root_set(40),
+            approximation_quality(local, 30),
+            closed_form_residual(local, 12),
+            cyclotomic_factor_magnitudes(local, 24),
+        )
+
+    prec = mpmath.mp.prec
+    want = calls()
+    stop = threading.Event()
+
+    def churn():
+        while not stop.is_set():
+            with mpmath.workdps(5):
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    thread = threading.Thread(target=churn)
+    thread.start()
+    try:
+        got = [calls() for _ in range(40)]
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert got == [want] * 40 and mpmath.mp.prec == prec

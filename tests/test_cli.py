@@ -1,6 +1,7 @@
 """CLI behavior: command surface, exit codes, report determinism."""
 
 import argparse
+import ast
 import hashlib
 import inspect
 import json
@@ -655,18 +656,45 @@ def test_public_options_are_pinned():
     assert options == PUBLIC_OPTIONS
 
 
+def mpmath_uses(tree):
+    """(line, dotted name, inside an annotation) for each use of mpmath in a module."""
+    annotated = set()
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                annotated.update(id(n) for n in ast.walk(annotation))
+    parents = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "mpmath":
+            name, top = "mpmath", node
+            while isinstance(parents.get(id(top)), ast.Attribute):
+                top = parents[id(top)]
+                name += "." + top.attr
+            yield node.lineno, name, id(node) in annotated
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+            for alias in node.names:
+                yield node.lineno, f"from {node.module} import {alias.name}", False
+
+
 def test_one_precision_path():
-    # mpmath's precision is process-wide, so only the locked helper may change it.
+    # mpmath.mp's precision is one setting for the whole process, so the
+    # package computes only on mpmath contexts it owns: no workdps, no read or
+    # write of mpmath.mp.prec or dps, no function of the global context.
+    allowed = {"mpmath.MPContext", "mpmath.mp.make_mpf", "mpmath.nstr", "from mpmath import libmp"}
     src = Path(tauprimes.__file__).parent
-    pattern = re.compile(r"mpmath\.workdps\(|mp\.(?:prec|dps) *=(?!=)")
-    offenders = [
-        f"{path.name}:{n}"
+    uses = {
+        f"{path.name}:{line} {name}": name in allowed or (name == "mpmath.mpf" and annotated)
         for path in sorted(src.glob("*.py"))
-        if path.name != "_precision.py"
-        for n, line in enumerate(path.read_text().splitlines(), start=1)
-        if pattern.search(line)
+        for line, name, annotated in mpmath_uses(ast.parse(path.read_text()))
+    }
+    assert [use for use, ok in uses.items() if not ok] == []
+    # The walk sees each of those forms.
+    code = "import mpmath\nx: mpmath.mpf = mpmath.mpf(1)\nwith mpmath.workdps(5): mpmath.mp.prec\n"
+    assert sorted((line, name) for line, name, annotated in mpmath_uses(ast.parse(code)) if not annotated) == [
+        (2, "mpmath.mpf"),
+        (3, "mpmath.mp.prec"),
+        (3, "mpmath.workdps"),
     ]
-    assert offenders == []
 
 
 def test_one_raw_libmp_kernel():

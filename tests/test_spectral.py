@@ -132,9 +132,9 @@ def count_fallbacks(monkeypatch):
     """Route root_set's _alpha calls through a counter; returns the call list."""
     calls = []
 
-    def counted(j, k):
+    def counted(ctx, j, k):
         calls.append((j, k))
-        return _alpha(j, k)
+        return _alpha(ctx, j, k)
 
     monkeypatch.setattr(spectral, "_alpha", counted)
     return calls
@@ -142,9 +142,10 @@ def count_fallbacks(monkeypatch):
 
 def assert_roots_are_alpha(k, digits):
     rs = root_set(k, digits)
-    with mpmath.workdps(rs.precision_digits):
-        for j, a in enumerate(rs.alphas, start=1):
-            assert a._mpf_ == _alpha(j, k)._mpf_, (k, digits, j)
+    ctx = mpmath.MPContext()
+    ctx.dps = rs.precision_digits
+    for j, a in enumerate(rs.alphas, start=1):
+        assert a._mpf_ == _alpha(ctx, j, k)._mpf_, (k, digits, j)
 
 
 def test_root_set_is_bit_identical_to_alpha(monkeypatch):
