@@ -137,12 +137,18 @@ def dirichlet_partial_sum(primes: Sequence[int], s) -> DirichletSum:
     return DirichletSum(total, normalizer, ratio)
 
 
+def _window_end(n: int) -> int:
+    """ceil(log_4 N), exactly, from N's bit length: the k window is every
+    k >= 3 with 4^k < N.  Not k_hi rounded up, which comes out a hair above
+    j at many N = 4^j and exactly j at 4^j + 1 past 50 digits."""
+    return ((n - 1).bit_length() + 1) // 2
+
+
 def decade_margin(m: int) -> mpmath.mpf:
     """Floor minus ceiling at N = 10^{M+1}: positive once the progression
     supply provably outruns the attainable tau values."""
     n = 10 ** (m + 1)
-    _, k_hi = admissible_k_range(n)
-    k_count = _CTX.ceil(k_hi) - 3
+    k_count = _window_end(n) - 3
     return progression_decade_floor(m) - attainable_prime_ceiling(n) * k_count
 
 
@@ -161,12 +167,10 @@ def positivity_crossover() -> int | None:
 def bound_report(n: int) -> BoundReport:
     """All bounds evaluated at ceiling N in one struct; the k window must end
     at or below DEFAULT_MAX_K, so N <= 4^(DEFAULT_MAX_K + 1)."""
-    # The window ends at ceil(log_4 N) - 1, which N's bit length gives exactly:
-    # refused before any per-k bound.
-    _check_max_k(((n - 1).bit_length() + 1) // 2 - 1)
+    end = _window_end(n)
+    _check_max_k(end - 1)  # refused before any per-k bound
     k_lo, k_hi = admissible_k_range(n)
-    window = range(k_lo, int(_CTX.ceil(k_hi)))
-    per_k = {k: _bvdp(k) for k in window}
+    per_k = {k: _bvdp(k) for k in range(k_lo, end)}
     n_ = _CTX.mpf((n, 0))
     m = _CTX.log10(n_) - 1
     floor = progression_decade_floor(m) if m >= 1 else _CTX.nan

@@ -48,30 +48,86 @@ def to_json(doc: dict[str, Any]) -> str:
     Takes str-keyed dicts, lists, tuples, str, int, bool and None; anything
     else, floats included, raises TypeError.
     """
-    return _json(doc, "\n") + "\n"
+    parts: list[str] = []
+    _put_json(doc, "\n", parts.append, {})
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _json(value: Any, newline: str) -> str:
-    """value's JSON text; newline is "\\n" plus the indent of value's own line."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        items = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+def _put_json(value: Any, newline: str, put, shapes: dict) -> None:
+    """Put value's JSON text, piece by piece; newline is "\\n" plus the indent
+    of value's own line.  shapes maps a dict's (keys, newline), and a list's
+    newline, to the text around its items; it lives for one to_json call.
+
+    A container's loop writes its exact str and int items itself; every
+    other item comes back here, where bool, None and subclasses (an IntEnum,
+    a str Enum) are told apart by isinstance, as json does.
+    """
     if isinstance(value, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not value:
+            put("{}")
+            return
+        keys, values = (tuple(value), value.values()) if type(value) is dict else zip(*value.items())
+        shape = shapes.get((keys, newline))
+        if shape is None:
+            shape = shapes[keys, newline] = _dict_shape(keys, newline)
+        heads, inner, close = shape
+        for head, item in zip(heads, values):
+            put(head)
+            kind = type(item)
+            if kind is str:
+                put(encode_basestring_ascii(item))
+            elif kind is int:
+                put(int.__repr__(item))
+            else:
+                _put_json(item, inner, put, shapes)
+        put(close)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        shape = shapes.get(newline)
+        if shape is None:
+            inner = newline + "  "
+            shape = shapes[newline] = ("[" + inner, "," + inner, inner, newline + "]")
+        head, sep, inner, close = shape
+        for item in value:
+            put(head)
+            head = sep
+            kind = type(item)
+            if kind is str:
+                put(encode_basestring_ascii(item))
+            elif kind is int:
+                put(int.__repr__(item))
+            else:
+                _put_json(item, inner, put, shapes)
+        put(close)
+    elif isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dict_shape(keys: tuple, newline: str) -> tuple[list[str], str, str]:
+    """(the text before each value, the values' newline, the closing text)
+    of a dict with these keys on a line that starts with newline."""
+    inner = newline + "  "
+    heads = ["," + inner + encode_basestring_ascii(k) + ": " for k in keys]
+    heads[0] = "{" + heads[0][1:]
+    return heads, inner, newline + "}"
 
 
 def class23_to_dict(cls: Class23) -> dict[str, Any]:
     return {
-        "tag": cls.tag.value,
+        "tag": cls.tag._value_,
         "witness": list(cls.witness) if cls.witness is not None else None,
     }
 
@@ -89,15 +145,17 @@ def hit_to_dict(hit: SearchHit) -> dict[str, Any]:
         "value": str(hit.value),
         "residue23": hit.residue23,
         "class23": class23_to_dict(hit.class23),
-        "verdict": hit.verdict.value,
+        "verdict": hit.verdict._value_,
     }
 
 
 def hit_from_dict(d: Any) -> SearchHit:
     """The hit that hit_to_dict wrote as d.  A field that is missing, not of
-    the JSON type hit_to_dict writes, or (residue23) not value mod 23 raises
-    ValueError naming that field."""
-    _require_fields(d, "hit", p=int, k=int, value=str, residue23=int, class23=dict, verdict=str)
+    the JSON type hit_to_dict writes, or not what the other fields make it
+    (exponent 2k, residue23 value mod 23) raises ValueError naming that field."""
+    _require_fields(d, "hit", p=int, k=int, exponent=int, value=str, residue23=int, class23=dict, verdict=str)
+    if d["exponent"] != 2 * d["k"]:
+        raise ValueError(f"hit field 'exponent' is {d['exponent']}, but 2k is {2 * d['k']}")
     _require_fields(d["class23"], "hit class23", tag=str)
     witness = d["class23"].get("witness")
     if witness is not None and not (type(witness) is list and all(type(w) is int for w in witness)):

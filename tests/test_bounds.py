@@ -219,6 +219,23 @@ def test_bound_report_window_ceiling():
     assert max(bound_report(4**12 + 1).per_k_bound) == 12
 
 
+def test_bound_report_window_is_exact_at_powers_of_4():
+    # k is in the window iff 3 <= k and 4^k < N.  Rounding k_hi = log_4 N up
+    # put k = j into the window at N = 4^j for 456 of j = 2..2999 (the first
+    # is j = 7), and misread 4^j +- 1 once they pass 50 digits.
+    for j in range(2, 101):
+        for n in (4**j - 1, 4**j, 4**j + 1):
+            want = [k for k in range(3, j + 1) if 4**k < n]
+            assert list(bound_report(n).per_k_bound) == want, (j, n - 4**j)
+
+
+def test_bound_report_window_unchanged_at_powers_of_10():
+    # Away from the powers of 4 the exact end is the rounded one.
+    for e in range(8, 1001):
+        report = bound_report(10**e)
+        assert list(report.per_k_bound) == list(range(3, int(mpmath.ceil(report.k_hi)))), e
+
+
 def test_bound_report_fields():
     report = bound_report(10**8)
     assert report.k_lo == 3

@@ -448,6 +448,10 @@ def test_bounds_report(capsys):
     code, out, _ = run(capsys, "bounds", "--N", "10^8")
     doc = json.loads(out)
     assert list(doc["payload"]["per_k_bound"]) == [str(k) for k in range(3, 14)]
+    # 4^5 and 4^7: each window stops below j, however k_hi = j rounds.
+    for n, top in (("1024", 4), ("16384", 6)):
+        code, out, _ = run(capsys, "bounds", "--N", n)
+        assert list(json.loads(out)["payload"]["per_k_bound"]) == [str(k) for k in range(3, top + 1)], n
 
 
 def test_output_digests(capsys, tmp_path, monkeypatch):
@@ -511,8 +515,22 @@ TAU4_HIT = {
         # The census counts by residue23, so one that is not value mod 23 (-1472 = -64 * 23) is refused.
         ({"payload": {"hits": [{**TAU4_HIT, "residue23": 99, "verdict": "ProbablePrime"}]}}, "'residue23' is 99"),
         ({"payload": {"hits": [{**TAU4_HIT, "residue23": 5}]}}, "'residue23' is 5, but value mod 23 is 0"),
+        # hit_to_dict writes exponent = 2k, so any other exponent is refused.
+        ({"payload": {"hits": [{**TAU4_HIT, "exponent": 7}]}}, "'exponent' is 7, but 2k is 2"),
+        ({"payload": {"hits": [{**TAU4_HIT, "exponent": "2"}]}}, "field 'exponent' must be int, not str"),
+        ({"payload": {"hits": [{n: v for n, v in TAU4_HIT.items() if n != "exponent"}]}}, "no field 'exponent'"),
     ],
-    ids=["top-level-list", "p-is-a-list", "no-payload", "hit-without-k", "residue-out-of-range", "residue-not-value-mod-23"],
+    ids=[
+        "top-level-list",
+        "p-is-a-list",
+        "no-payload",
+        "hit-without-k",
+        "residue-out-of-range",
+        "residue-not-value-mod-23",
+        "exponent-not-2k",
+        "exponent-is-a-string",
+        "hit-without-exponent",
+    ],
 )
 def test_census_names_the_malformed_field(capsys, tmp_path, doc, field):
     path = tmp_path / "hits.json"

@@ -1,11 +1,15 @@
 """Report encoding: to_json against the standard library's json."""
 
+import gc
 import json
+from collections import OrderedDict
+from enum import Enum, IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tauprimes.cli import main
 from tauprimes.reports import to_json
 
 # Quotes, backslashes, control characters, DEL and non-ASCII (BMP and astral)
@@ -52,3 +56,98 @@ def test_to_json_rejects_other_types():
     for bad in (1.5, object()):
         with pytest.raises(TypeError):
             to_json({"payload": [1, {"x": bad}]})
+
+
+def dumps(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_to_json_reuses_dict_shapes_at_every_depth():
+    # Each (keys, indent) pair gets its text once per call; the same keys at
+    # another depth, or in another order, must get their own.
+    hit = {"p": 2, "k": 1, "value": "-1472", "class23": {"tag": "NonResidue", "witness": None}}
+    reordered = {"k": 3, "class23": {"witness": [1, -2], "tag": "PrincipalForm"}, "value": "x", "p": 5}
+    doc = {
+        "hits": [dict(hit, p=p) for p in range(50)] + [reordered, hit],
+        "deeper": [[dict(hit, k=k), reordered] for k in range(5)],
+        "same": {"hits": [hit, hit], "p": hit, "k": [[[hit]]]},
+    }
+    assert to_json(doc) == dumps(doc)
+
+
+class Small(IntEnum):
+    ONE = 1
+    BIG = 2**70
+
+
+class Name(str, Enum):
+    A = "aé"
+
+
+class Text(str):
+    pass
+
+
+def test_to_json_subclasses_and_bools():
+    # Only exact str and int are written in a container's loop; these take
+    # json's own route, which writes an IntEnum as its number.
+    doc = {
+        "enum": Small.BIG,
+        "enums": [Small.ONE, Small.BIG, Name.A],
+        "bools": [True, False, None, 0, 1],
+        "flags": {"t": True, "f": False, "n": None},
+        Text("sub\n"): Text('quoted "text"'),
+        "nested": OrderedDict([("b", Text("x")), ("a", [Small.ONE, True])]),
+        "tuple": (Name.A, False, Text("")),
+    }
+    assert to_json(doc) == dumps(doc)
+
+
+def run_cli(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--pmax", "3000", "--kmax", "12", "--vmax", "1e100"),
+        ("congruence-table", "--pmax", "300"),
+        ("bounds", "--N", "1e1000"),
+    ],
+    ids=["search", "congruence-table", "bounds"],
+)
+def test_to_json_on_real_documents(capsys, tmp_path, argv):
+    # The CLI prints to_json of its report; json must write the parsed report
+    # back to the same bytes.  A census of the search's hits rides along.
+    docs = [run_cli(capsys, *argv)]
+    if argv[0] == "search":
+        path = tmp_path / "hits.json"
+        path.write_text(docs[0])
+        docs.append(run_cli(capsys, "census", "--from", str(path), "--cap", "1e40"))
+    for out in docs:
+        assert out == dumps(json.loads(out))
+
+
+@pytest.mark.parametrize("key", [1, None, (1, 2), 1.5, True])
+def test_to_json_rejects_non_str_keys(key):
+    for doc in ({key: 1}, {"a": [{"b": 1, key: 2}]}):
+        with pytest.raises(TypeError):
+            to_json(doc)
+
+
+def test_to_json_leaves_no_cycles():
+    # With the cyclic collector off, anything a call leaves in a reference
+    # cycle stays until gc.collect() finds it.
+    hit = {"p": 2, "k": 1, "value": "-1472", "class23": {"tag": "PrincipalForm", "witness": [1, 2]}, "ok": True}
+    doc = {"command": "search", "payload": {"count": 1000, "hits": [dict(hit, p=p) for p in range(1000)]}}
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        text = to_json(doc)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert text == dumps(doc)
