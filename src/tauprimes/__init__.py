@@ -9,14 +9,12 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundReport,
-    DirichletSum,
     admissible_k_range,
     attainable_prime_ceiling,
     bound_report,
     bvdp_count_bound,
     decade_margin,
     density_fraction,
-    dirichlet_partial_sum,
     pi_bracket,
     positivity_crossover,
     progression_decade_floor,
@@ -44,7 +42,6 @@ from .errors import (
 from .hecke import (
     Factorization,
     PrimeLocalData,
-    closed_form_residual,
     factorize,
     hecke_terms,
     tau_of_n,
@@ -65,6 +62,7 @@ from .spectral import (
     EvenIndexPoly,
     RootSet,
     approximation_quality,
+    closed_form_residual,
     cyclotomic_factor_magnitudes,
     eval_dehomogenized,
     eval_even_poly,

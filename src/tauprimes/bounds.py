@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import ClassVar, NamedTuple, Sequence
+from typing import ClassVar
 
 import mpmath
 
@@ -37,12 +37,6 @@ CAVEATS = (
     "the approximation-count constant 96000 is explicit, but the height inequality "
     "it feeds on holds only for k >= 3",
 )
-
-
-class DirichletSum(NamedTuple):
-    partial_sum: mpmath.mpf
-    normalizer: mpmath.mpf
-    ratio: mpmath.mpf
 
 
 @dataclass(frozen=True)
@@ -120,21 +114,6 @@ def pi_bracket(x) -> tuple[mpmath.mpf, mpmath.mpf]:
 def density_fraction() -> Fraction:
     """Dirichlet density of the signed classes covered by the exclusion list."""
     return Fraction(len(excluded_b_set()), 22)
-
-
-def dirichlet_partial_sum(primes: Sequence[int], s) -> DirichletSum:
-    """sum 1/|p|^s over signed primes, with the s->1 normalizer 2 log(1/(s-1))."""
-    s_ = _CTX.mpf(s)
-    if s_ <= 1:
-        raise ValueError("s must be > 1")
-    for p in primes:
-        if abs(p) < 2:
-            raise ValueError(f"{p} is not a signed prime")
-    total = _CTX.fsum(_CTX.power(abs(p), -s_) for p in primes)
-    normalizer = 2 * _CTX.log(1 / (s_ - 1))
-    # The normalizer is the s -> 1+ density scale; it vanishes at s = 2.
-    ratio = total / normalizer if normalizer != 0 else _CTX.inf
-    return DirichletSum(total, normalizer, ratio)
 
 
 def _window_end(n: int) -> int:

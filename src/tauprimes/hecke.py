@@ -3,11 +3,8 @@
 tau is multiplicative on coprime arguments and satisfies the local
 recurrence tau(p^m) = tau(p) tau(p^{m-1}) - p^11 tau(p^{m-2}), i.e. the
 power sums of the roots of x^2 - tau(p) x + p^11.  Everything here is
-exact big-integer arithmetic except local_angle, the argument of those
-roots, and closed_form_residual, which compares the exact value against
-the trigonometric closed form.  Both compute on a private mpmath context
-fixed at CLOSED_FORM_DIGITS: their values are of its mpf class and compute
-at that precision, whatever mpmath.mp's.
+exact big-integer arithmetic; the real-number view of those roots is in
+spectral.
 """
 
 from __future__ import annotations
@@ -16,16 +13,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, cycle, islice
 from typing import Iterator, Mapping
 
-import mpmath
-
-from .errors import BudgetExceededError, DegenerateDiscriminantError, MissingPrimeError
+from .errors import BudgetExceededError, MissingPrimeError
 from .series import DEFAULT_LIMIT_CEILING
-
-# Working precision of the trigonometric closed forms of the local roots.
-CLOSED_FORM_DIGITS = 60
-# Their context, set once and shared by threads: keep fprod, which sets the precision, off it.
-_CTX = mpmath.MPContext()
-_CTX.dps = CLOSED_FORM_DIGITS
 
 # The largest exponent k the package takes for tau(p^k), G_k and root sets:
 # tau(p^k) has up to about 5.5 k log10(p) digits, so past this one
@@ -107,38 +96,6 @@ def tau_of_n(factorization: Factorization, tau_at_primes: Mapping[int, int]) -> 
             raise MissingPrimeError(p)
         total *= tau_prime_power(PrimeLocalData(p, tau_at_primes[p]), e)
     return total
-
-
-def local_angle(local: PrimeLocalData) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(r, t) = (p^{11/2}, arccos(tau(p) / (2 p^{11/2}))) at CLOSED_FORM_DIGITS.
-
-    The local roots are r e^{+-it}; requires tau(p)^2 < 4 p^11 so the angle
-    is real and nondegenerate.
-    """
-    if local.y_p >= 4 * local.x_p:
-        raise DegenerateDiscriminantError(
-            f"tau({local.p})^2 = {local.y_p} is not strictly below 4*p^11 = {4 * local.x_p}"
-        )
-    r = _CTX.sqrt(_CTX.mpf(local.x_p))
-    return r, _CTX.acos(_CTX.mpf(local.tau_p) / (2 * r))
-
-
-def closed_form_residual(local: PrimeLocalData, k: int) -> float:
-    """Relative gap between exact tau(p^k) and p^{11k/2} sin((k+1)t)/sin(t).
-
-    Here (p^{11/2}, t) is local_angle(local), at CLOSED_FORM_DIGITS digits.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    root, theta = local_angle(local)
-    exact = tau_prime_power(local, k)
-    approx = root**k * _CTX.sin((k + 1) * theta) / _CTX.sin(theta)
-    if exact == 0:
-        # 0/0 convention: agree when the closed form is also negligible
-        # at the working scale.
-        scale = root**k * _CTX.mpf(10) ** (-(CLOSED_FORM_DIGITS - 10))
-        return 0.0 if abs(approx) <= scale else float("inf")
-    return float(abs(exact - approx) / abs(exact))
 
 
 # Candidate generator for trial division: 2, 3, 5, 7, then numbers coprime

@@ -19,8 +19,10 @@ import mpmath
 
 from . import __version__
 from .bounds import BoundReport
-from .congruence import Class23, Class23Tag
+from .congruence import Class23, classify_mod23
+from .primality import is_probable_prime
 from .search import CensusReport, SearchHit, Verdict
+from .series import DEFAULT_LIMIT_CEILING
 
 REAL_DIGITS = 30
 
@@ -132,11 +134,6 @@ def class23_to_dict(cls: Class23) -> dict[str, Any]:
     }
 
 
-def class23_from_dict(d: dict[str, Any]) -> Class23:
-    witness = d.get("witness")
-    return Class23(Class23Tag(d["tag"]), tuple(witness) if witness is not None else None)
-
-
 def hit_to_dict(hit: SearchHit) -> dict[str, Any]:
     return {
         "p": hit.p,
@@ -151,15 +148,29 @@ def hit_to_dict(hit: SearchHit) -> dict[str, Any]:
 
 def hit_from_dict(d: Any) -> SearchHit:
     """The hit that hit_to_dict wrote as d.  A field that is missing, not of
-    the JSON type hit_to_dict writes, or not what the other fields make it
-    (exponent 2k, residue23 value mod 23) raises ValueError naming that field."""
+    the JSON type hit_to_dict writes, out of range (k >= 1, p a prime no
+    larger than DEFAULT_LIMIT_CEILING) or not what the other fields make it
+    (exponent 2k, class23 the class of p, residue23 value mod 23) raises
+    ValueError naming that field."""
     _require_fields(d, "hit", p=int, k=int, exponent=int, value=str, residue23=int, class23=dict, verdict=str)
+    if d["k"] < 1:
+        raise ValueError(f"hit field 'k' is {d['k']}, but must be >= 1")
     if d["exponent"] != 2 * d["k"]:
         raise ValueError(f"hit field 'exponent' is {d['exponent']}, but 2k is {2 * d['k']}")
+    p = d["p"]
+    # Before classify_mod23, which takes O(sqrt p) steps.
+    if not (2 <= p <= DEFAULT_LIMIT_CEILING and is_probable_prime(p)):
+        raise ValueError(f"hit field 'p' is {p}, not a prime <= {DEFAULT_LIMIT_CEILING}")
     _require_fields(d["class23"], "hit class23", tag=str)
-    witness = d["class23"].get("witness")
+    tag, witness = d["class23"]["tag"], d["class23"].get("witness")
     if witness is not None and not (type(witness) is list and all(type(w) is int for w in witness)):
         raise ValueError("hit field 'class23.witness' must be null or a list of integers")
+    class23 = classify_mod23(p)
+    want = class23_to_dict(class23)
+    if (tag, witness) != (want["tag"], want["witness"]):
+        raise ValueError(
+            f"hit field 'class23' is {tag} {witness}, but classify_mod23({p}) is {want['tag']} {want['witness']}"
+        )
     try:
         value = int(d["value"])
     except ValueError as exc:
@@ -171,7 +182,7 @@ def hit_from_dict(d: Any) -> SearchHit:
         k=d["k"],
         value=value,
         residue23=d["residue23"],
-        class23=class23_from_dict(d["class23"]),
+        class23=class23,
         verdict=Verdict(d["verdict"]),
     )
 

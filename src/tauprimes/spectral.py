@@ -17,10 +17,15 @@ root_set takes one cosine and builds the rest by Chebyshev's recurrence in
 fixed point; each root is bit-identical to the per-root cosine _alpha,
 which it calls itself for the few roots near a rounding midpoint.
 
-root_set, min_gap and approximation_quality work at max(50, 4k) digits on a
-private mpmath context per thread, cyclotomic_factor_magnitudes on hecke's.
-Each real returned is a plain mpmath.mpf of the same bits, so arithmetic on
-it runs at the caller's precision; mpmath.mp's is never read or set.
+The local roots themselves are r e^{+-it}, with r = p^{11/2} and
+cos t = tau(p) / (2r); closed_form_residual checks the exact tau(p^k) from
+hecke against the trigonometric closed form r^k sin((k+1)t) / sin(t).
+
+root_set, min_gap and approximation_quality work at max(50, 4k) digits,
+closed_form_residual and cyclotomic_factor_magnitudes at CLOSED_FORM_DIGITS,
+all on a private mpmath context per thread.  Each real returned is a plain
+mpmath.mpf of the same bits, so arithmetic on it runs at the caller's
+precision; mpmath.mp's is never read or set.
 """
 
 from __future__ import annotations
@@ -36,8 +41,11 @@ from typing import NamedTuple
 import mpmath
 from mpmath import libmp
 
-from .errors import BudgetExceededError
-from .hecke import _CTX as _CLOSED_FORM_CTX, DEFAULT_MAX_K, PrimeLocalData, _check_max_k, hecke_terms, local_angle
+from .errors import BudgetExceededError, DegenerateDiscriminantError
+from .hecke import DEFAULT_MAX_K, PrimeLocalData, _check_max_k, hecke_terms, tau_prime_power
+
+# Working precision of the trigonometric closed forms of the local roots.
+CLOSED_FORM_DIGITS = 60
 
 # root_set's fixed-point cosines carry this many bits beyond the context
 # precision (plus 2 bitlen(2k+1)), and defer to mpmath.cos for any root whose
@@ -143,6 +151,20 @@ def _alpha(ctx: mpmath.MPContext, j: int, k: int) -> mpmath.mpf:
     return 4 * ctx.cos(ctx.pi * j / (2 * k + 1)) ** 2
 
 
+def _local_angle(ctx: mpmath.MPContext, local: PrimeLocalData) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(r, t) = (p^{11/2}, arccos(tau(p) / (2 p^{11/2}))) at ctx's precision.
+
+    The local roots are r e^{+-it}; requires tau(p)^2 < 4 p^11 so the angle
+    is real and nondegenerate.
+    """
+    if local.y_p >= 4 * local.x_p:
+        raise DegenerateDiscriminantError(
+            f"tau({local.p})^2 = {local.y_p} is not strictly below 4*p^11 = {4 * local.x_p}"
+        )
+    r = ctx.sqrt(ctx.mpf(local.x_p))
+    return r, ctx.acos(ctx.mpf(local.tau_p) / (2 * r))
+
+
 def root_set(k: int, precision_digits: int | None = None) -> RootSet:
     """alpha_{j,k} = 4 cos^2(pi j/(2k+1)), j = 1..k, strictly decreasing.
 
@@ -204,10 +226,31 @@ def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:
         return _plain(4 * ctx.sin(a) * ctx.sin(2 * a))
 
 
+def closed_form_residual(local: PrimeLocalData, k: int) -> float:
+    """Relative gap between exact tau(p^k) and p^{11k/2} sin((k+1)t)/sin(t).
+
+    Here (p^{11/2}, t) is the local angle from _local_angle, at
+    CLOSED_FORM_DIGITS digits.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ctx = _THREAD.ctx
+    with ctx.workdps(CLOSED_FORM_DIGITS):
+        root, theta = _local_angle(ctx, local)
+        exact = tau_prime_power(local, k)
+        approx = root**k * ctx.sin((k + 1) * theta) / ctx.sin(theta)
+        if exact == 0:
+            # 0/0 convention: agree when the closed form is also negligible
+            # at the working scale.
+            scale = root**k * ctx.mpf(10) ** (-(CLOSED_FORM_DIGITS - 10))
+            return 0.0 if abs(approx) <= scale else float("inf")
+        return float(abs(exact - approx) / abs(exact))
+
+
 def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[int, mpmath.mpf]]:
     """|Phi_d(alpha, beta)| for each divisor d > 1 of n, ascending in d; n - 1 <= DEFAULT_MAX_K.
 
-    alpha, beta are the conjugate local roots, taken from local_angle at
+    alpha, beta are the conjugate local roots, taken from _local_angle at
     CLOSED_FORM_DIGITS digits; the product over all listed d equals
     |tau(p^{n-1})| because alpha^n - beta^n factors through the
     homogenized cyclotomic polynomials.
@@ -215,20 +258,21 @@ def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[in
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_max_k(n - 1)
-    ctx = _CLOSED_FORM_CTX
     out = []
-    r, theta = local_angle(local)
-    alpha = r * ctx.exp(ctx.mpc(0, theta))
-    beta = ctx.conj(alpha)
-    for d in range(2, n + 1):
-        if n % d:
-            continue
-        mag = ctx.mpf(1)
-        for m in range(1, d + 1):
-            if gcd(m, d) == 1:
-                zeta = ctx.expjpi(ctx.mpf(2 * m) / d)
-                mag *= abs(alpha - zeta * beta)
-        out.append((d, _plain(mag)))
+    ctx = _THREAD.ctx
+    with ctx.workdps(CLOSED_FORM_DIGITS):
+        r, theta = _local_angle(ctx, local)
+        alpha = r * ctx.exp(ctx.mpc(0, theta))
+        beta = ctx.conj(alpha)
+        for d in range(2, n + 1):
+            if n % d:
+                continue
+            mag = ctx.mpf(1)
+            for m in range(1, d + 1):
+                if gcd(m, d) == 1:
+                    zeta = ctx.expjpi(ctx.mpf(2 * m) / d)
+                    mag *= abs(alpha - zeta * beta)
+            out.append((d, _plain(mag)))
     return out
 
 

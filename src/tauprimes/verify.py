@@ -31,12 +31,13 @@ from .congruence import (
     parity_law,
     tau_mod23,
 )
-from .hecke import PrimeLocalData, closed_form_residual, factorize, tau_of_n
+from .hecke import PrimeLocalData, factorize, tau_of_n
 from .primality import has_small_factor, is_probable_prime, primes_up_to
 from .search import Verdict, census_by_residue, index_divisor, search_prime_tau, smallest_prime_tau
 from .series import TauTable, delta_series, tau_values
 from .spectral import (
     approximation_quality,
+    closed_form_residual,
     cyclotomic_factor_magnitudes,
     eval_dehomogenized,
     eval_even_poly,
@@ -445,20 +446,27 @@ def _bounds_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
         f"floor/ceiling margin turns positive at M = {crossover}",
     )
 
-    count = _signed_class_count(10**6, 2)
+    # Primes p <= 10^6 by residue: the signed prime p is in class p mod 23, -p in -p mod 23.
+    tally = [0] * 23
+    for p in primes_up_to(10**6):
+        tally[p % 23] += 1
+    count = tally[2] + tally[21]
     yield (
         "sieve census of a signed class sits in the Dirichlet bracket at 10^6",
         bool(lower < count < upper),
         f"count {count} in ({mpmath.nstr(lower, 8)}, {mpmath.nstr(upper, 8)})",
     )
 
-    ds = bnd.dirichlet_partial_sum([3, -3], 2)
-    sum_ok = abs(ctx.mpf(ds.partial_sum) - ctx.mpf(2) / 9) < ctx.mpf(10) ** -40
-    ok = bnd.density_fraction() == Fraction(9, 11) and sum_ok
+    density = bnd.density_fraction()
+    excluded = sum(tally[b] + tally[-b % 23] for b in excluded_b_set())
+    signed = 2 * (sum(tally) - tally[0])  # tally[0] is 23 alone
+    share = Fraction(excluded, signed)
+    gap = abs(share - density)
     yield (
-        "density 18/22 and the two-term Dirichlet sum",
-        ok,
-        f"sum {mpmath.nstr(ds.partial_sum, 10)}, normalizer {mpmath.nstr(ds.normalizer, 10)}",
+        "excluded classes hold the density's share of signed primes to 10^6",
+        gap < Fraction(1, 1000),
+        f"{excluded} of {signed} signed primes l != +-23 = {float(share):.6f}, "
+        f"density {density} = {float(density):.6f}, gap {float(gap):.2g}",
     )
 
 
@@ -498,16 +506,6 @@ def _two_term_powers(p: int, tau_p: int, max_exponent: int) -> list[int]:
     while len(values) <= max_exponent:
         values.append(tau_p * values[-1] - p**11 * values[-2])
     return values[: max_exponent + 1]
-
-
-def _signed_class_count(x: int, b: int) -> int:
-    """#{signed primes l, |l| <= x, l = b mod 23} by sieve; counts p = b and p = -b."""
-    count = 0
-    targets = {b % 23, (-b) % 23}
-    for p in primes_up_to(x):
-        if p % 23 in targets:
-            count += 1
-    return count
 
 
 def format_results(results: list[CheckResult]) -> str:

@@ -3,7 +3,7 @@ import os
 import mpmath
 import pytest
 
-from tauprimes import bounds, hecke
+from tauprimes import bounds
 from tauprimes.cache import write_cache
 from tauprimes.series import delta_series
 
@@ -31,12 +31,12 @@ def no_precision_left():
 
 @pytest.fixture(autouse=True)
 def fixed_contexts_kept():
-    # bounds and hecke share one context each across threads, safe only
-    # while nothing changes its precision.
+    # bounds._CTX is the package's one context shared across threads, safe
+    # only while nothing changes its precision; every other computes per
+    # thread inside workdps blocks.
     yield
-    for ctx, dps in ((bounds._CTX, bounds.DEFAULT_DPS), (hecke._CTX, hecke.CLOSED_FORM_DIGITS)):
-        if ctx.dps != dps:
-            pytest.fail(f"the test left a fixed context at {ctx.dps} digits, not {dps}")
+    if bounds._CTX.dps != bounds.DEFAULT_DPS:
+        pytest.fail(f"the test left bounds._CTX at {bounds._CTX.dps} digits, not {bounds.DEFAULT_DPS}")
 
 
 @pytest.fixture(scope="session")

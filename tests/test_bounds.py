@@ -17,14 +17,19 @@ from tauprimes.bounds import (
     bvdp_count_bound,
     decade_margin,
     density_fraction,
-    dirichlet_partial_sum,
     pi_bracket,
     positivity_crossover,
     progression_decade_floor,
 )
 from tauprimes.errors import BudgetExceededError
-from tauprimes.hecke import DEFAULT_MAX_K, PrimeLocalData, closed_form_residual
-from tauprimes.spectral import approximation_quality, cyclotomic_factor_magnitudes, min_gap, root_set
+from tauprimes.hecke import DEFAULT_MAX_K, PrimeLocalData
+from tauprimes.spectral import (
+    approximation_quality,
+    closed_form_residual,
+    cyclotomic_factor_magnitudes,
+    min_gap,
+    root_set,
+)
 
 
 def test_k_range_exact_at_64():
@@ -151,20 +156,6 @@ def test_pi_bracket_shape():
 
 def test_density_fraction():
     assert density_fraction() == Fraction(18, 22) == Fraction(9, 11)
-
-
-def test_dirichlet_partial_sum():
-    ds = dirichlet_partial_sum([3, -3], 2)
-    with mpmath.workdps(50):
-        assert abs(ds.partial_sum - mpmath.mpf(2) / 9) < mpmath.mpf(10) ** -45
-        assert ds.normalizer == 0
-        assert ds.ratio == mpmath.inf
-    near1 = dirichlet_partial_sum([3, -3, 5], mpmath.mpf("1.01"))
-    assert near1.normalizer > 0 and near1.ratio > 0
-    with pytest.raises(ValueError):
-        dirichlet_partial_sum([3], 1)
-    with pytest.raises(ValueError):
-        dirichlet_partial_sum([1], 2)
 
 
 def test_decade_margin_and_crossover():
@@ -313,8 +304,8 @@ def test_per_k_memo_from_threads():
 
 
 def test_precision_blocks_of_two_modules_from_threads():
-    # A spectral or hecke block on one thread must not interleave with a
-    # bounds block on another: each would restore the other's precision.
+    # A spectral block on one thread must not interleave with a bounds block
+    # on another: each would restore the other's precision.
     local = PrimeLocalData(2, -24)
 
     def spectral_calls():

@@ -503,6 +503,20 @@ TAU4_HIT = {
     "class23": {"tag": "SplitNonPrincipal", "witness": None},
     "verdict": "Composite",
 }
+# hit_to_dict of tau(59^2) in search --pmax 60 --kmax 1 --vmax 1e30: 59 = 6^2 + 23 * 1^2.
+TAU59SQ_HIT = {
+    "p": 59,
+    "k": 1,
+    "exponent": 2,
+    "value": "-3228052989507855059",
+    "residue23": 3,
+    "class23": {"tag": "PrincipalForm", "witness": [6, 1]},
+    "verdict": "Composite",
+}
+
+
+def principal_witness(witness):
+    return {"payload": {"hits": [{**TAU59SQ_HIT, "class23": {"tag": "PrincipalForm", "witness": witness}}]}}
 
 
 @pytest.mark.parametrize(
@@ -519,6 +533,15 @@ TAU4_HIT = {
         ({"payload": {"hits": [{**TAU4_HIT, "exponent": 7}]}}, "'exponent' is 7, but 2k is 2"),
         ({"payload": {"hits": [{**TAU4_HIT, "exponent": "2"}]}}, "field 'exponent' must be int, not str"),
         ({"payload": {"hits": [{n: v for n, v in TAU4_HIT.items() if n != "exponent"}]}}, "no field 'exponent'"),
+        # class23 must be classify_mod23(p), witness included.
+        (
+            principal_witness([1, 2, 3]),
+            "'class23' is PrincipalForm [1, 2, 3], but classify_mod23(59) is PrincipalForm [6, 1]",
+        ),
+        (principal_witness([]), "'class23' is PrincipalForm [], but"),
+        (principal_witness([5, 5]), "'class23' is PrincipalForm [5, 5], but"),
+        ({"payload": {"hits": [{**TAU4_HIT, "k": 0, "exponent": 0}]}}, "'k' is 0, but must be >= 1"),
+        ({"payload": {"hits": [{**TAU4_HIT, "p": 4}]}}, "'p' is 4, not a prime <= 200000"),
     ],
     ids=[
         "top-level-list",
@@ -530,6 +553,11 @@ TAU4_HIT = {
         "exponent-not-2k",
         "exponent-is-a-string",
         "hit-without-exponent",
+        "witness-of-three",
+        "witness-empty",
+        "witness-not-of-p",
+        "k-zero",
+        "p-not-prime",
     ],
 )
 def test_census_names_the_malformed_field(capsys, tmp_path, doc, field):
@@ -713,6 +741,23 @@ def test_one_precision_path():
         (3, "mpmath.mp.prec"),
         (3, "mpmath.workdps"),
     ]
+
+
+def test_exact_modules_import_no_mpmath():
+    # These modules are exact integer arithmetic; the reals of the local
+    # roots are spectral's, and bounds' reals are its own.
+    src = Path(tauprimes.__file__).parent
+    offenders = []
+    for name in ("series", "cache", "hecke", "congruence", "primality", "search", "errors"):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{name}.py:{node.lineno}" for m in modules if m.split(".")[0] == "mpmath"]
+    assert offenders == []
 
 
 def test_one_raw_libmp_kernel():

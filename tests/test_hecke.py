@@ -14,16 +14,15 @@ from tauprimes.hecke import (
     DEFAULT_MAX_K,
     Factorization,
     PrimeLocalData,
-    closed_form_residual,
     factorize,
     hecke_terms,
-    local_angle,
     tau_of_n,
     tau_prime_power,
 )
 from tauprimes.primality import primes_up_to
 from tauprimes.search import search_prime_tau
 from tauprimes.series import DEFAULT_LIMIT_CEILING, delta_series, tau_values
+from tauprimes.spectral import closed_form_residual, cyclotomic_factor_magnitudes
 
 TAU2 = -24
 TAU3 = 252
@@ -92,10 +91,13 @@ def test_tau_of_n_missing_prime():
 
 
 def test_deligne_check():
-    local_angle(PrimeLocalData(2, TAU2))
-    local_angle(PrimeLocalData(2, 90))  # 8100 < 8192
-    with pytest.raises(DegenerateDiscriminantError):
-        local_angle(PrimeLocalData(2, 91))  # 91^2 = 8281 > 4*2^11 = 8192
+    # Both public callers of the local angle accept tau(p)^2 < 4 p^11 and
+    # refuse the rest.
+    for call in (closed_form_residual, cyclotomic_factor_magnitudes):
+        call(PrimeLocalData(2, TAU2), 2)
+        call(PrimeLocalData(2, 90), 2)  # 8100 < 8192
+        with pytest.raises(DegenerateDiscriminantError):
+            call(PrimeLocalData(2, 91), 2)  # 91^2 = 8281 > 4*2^11 = 8192
 
 
 def test_deligne_on_real_values(table10k):
