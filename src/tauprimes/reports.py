@@ -150,8 +150,9 @@ def hit_from_dict(d: Any) -> SearchHit:
     """The hit that hit_to_dict wrote as d.  A field that is missing, not of
     the JSON type hit_to_dict writes, out of range (k >= 1, p a prime no
     larger than DEFAULT_LIMIT_CEILING) or not what the other fields make it
-    (exponent 2k, class23 the class of p, residue23 value mod 23) raises
-    ValueError naming that field."""
+    (exponent 2k, class23 the class of p, residue23 value mod 23, a verdict
+    of the value's trivial class: Zero, PlusMinusTwo and Composite for 0, +-2
+    and the other even values) raises ValueError naming that field."""
     _require_fields(d, "hit", p=int, k=int, exponent=int, value=str, residue23=int, class23=dict, verdict=str)
     if d["k"] < 1:
         raise ValueError(f"hit field 'k' is {d['k']}, but must be >= 1")
@@ -177,13 +178,22 @@ def hit_from_dict(d: Any) -> SearchHit:
         raise ValueError(f"hit field 'value': {exc}") from None
     if d["residue23"] != value % 23:
         raise ValueError(f"hit field 'residue23' is {d['residue23']}, but value mod 23 is {value % 23}")
+    try:
+        verdict = Verdict(d["verdict"])
+    except ValueError:
+        raise ValueError(f"hit field 'verdict' is {d['verdict']!r}, not one of {[v.value for v in Verdict]}") from None
+    size = abs(value)
+    kind = "0" if size == 0 else "+-2" if size == 2 else "even" if size % 2 == 0 else "odd"
+    allowed = {"0": (Verdict.ZERO,), "+-2": (Verdict.PLUS_MINUS_TWO,), "even": (Verdict.COMPOSITE,)}
+    if verdict not in allowed.get(kind, (Verdict.PROBABLE_PRIME, Verdict.COMPOSITE)):
+        raise ValueError(f"hit field 'verdict' is {verdict.value}, but the value is {kind}")
     return SearchHit(
         p=d["p"],
         k=d["k"],
         value=value,
         residue23=d["residue23"],
         class23=class23,
-        verdict=Verdict(d["verdict"]),
+        verdict=verdict,
     )
 
 

@@ -9,9 +9,12 @@ In closed form x^i y^{k-i} has coefficient (-1)^i C(2k-i, i): Lucas's
 expansion of u_{2k+1}(tau(p), p^11) (E. Lucas, Amer. J. Math. 1 (1878)).
 
 Dehomogenized at x = 1, G_k(1, y) has the k simple real roots
-alpha_{j,k} = 4 cos^2(pi j / (2k+1)), j = 1..k, all in (0, 4).  The same
-local roots give |tau(p^{n-1})| as a product of cyclotomic factor
-magnitudes |Phi_d(alpha, beta)| over divisors d > 1 of n.
+alpha_{j,k} = 4 cos^2(pi j / (2k+1)), j = 1..k, all in (0, 4).
+
+|tau(p^{n-1})| is the product of the cyclotomic factors |Phi_d(alpha, beta)|
+of the local roots over divisors d > 1 of n; cyclotomic_factor_magnitudes
+returns them as exact ints, each a Moebius quotient of the Lucas terms
+tau(p^{e-1}), e | d, with no real arithmetic.
 
 root_set takes one cosine and builds the rest by Chebyshev's recurrence in
 fixed point; each root is bit-identical to the per-root cosine _alpha,
@@ -22,10 +25,10 @@ cos t = tau(p) / (2r); closed_form_residual checks the exact tau(p^k) from
 hecke against the trigonometric closed form r^k sin((k+1)t) / sin(t).
 
 root_set, min_gap and approximation_quality work at max(50, 4k) digits,
-closed_form_residual and cyclotomic_factor_magnitudes at CLOSED_FORM_DIGITS,
-all on a private mpmath context per thread.  Each real returned is a plain
-mpmath.mpf of the same bits, so arithmetic on it runs at the caller's
-precision; mpmath.mp's is never read or set.
+closed_form_residual at CLOSED_FORM_DIGITS, all on a private mpmath context
+per thread.  Each real returned is a plain mpmath.mpf of the same bits, so
+arithmetic on it runs at the caller's precision; mpmath.mp's is never read
+or set.
 """
 
 from __future__ import annotations
@@ -35,14 +38,13 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd
 from typing import NamedTuple
 
 import mpmath
 from mpmath import libmp
 
 from .errors import BudgetExceededError, DegenerateDiscriminantError
-from .hecke import DEFAULT_MAX_K, PrimeLocalData, _check_max_k, hecke_terms, tau_prime_power
+from .hecke import DEFAULT_MAX_K, PrimeLocalData, _check_max_k, factorize, hecke_terms, tau_prime_power
 
 # Working precision of the trigonometric closed forms of the local roots.
 CLOSED_FORM_DIGITS = 60
@@ -151,16 +153,21 @@ def _alpha(ctx: mpmath.MPContext, j: int, k: int) -> mpmath.mpf:
     return 4 * ctx.cos(ctx.pi * j / (2 * k + 1)) ** 2
 
 
+def _check_deligne(local: PrimeLocalData) -> None:
+    # Only below 4 p^11 are the local roots distinct complex conjugates.
+    if local.y_p >= 4 * local.x_p:
+        raise DegenerateDiscriminantError(
+            f"tau({local.p})^2 = {local.y_p} is not strictly below 4*p^11 = {4 * local.x_p}"
+        )
+
+
 def _local_angle(ctx: mpmath.MPContext, local: PrimeLocalData) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(r, t) = (p^{11/2}, arccos(tau(p) / (2 p^{11/2}))) at ctx's precision.
 
     The local roots are r e^{+-it}; requires tau(p)^2 < 4 p^11 so the angle
     is real and nondegenerate.
     """
-    if local.y_p >= 4 * local.x_p:
-        raise DegenerateDiscriminantError(
-            f"tau({local.p})^2 = {local.y_p} is not strictly below 4*p^11 = {4 * local.x_p}"
-        )
+    _check_deligne(local)
     r = ctx.sqrt(ctx.mpf(local.x_p))
     return r, ctx.acos(ctx.mpf(local.tau_p) / (2 * r))
 
@@ -247,32 +254,51 @@ def closed_form_residual(local: PrimeLocalData, k: int) -> float:
         return float(abs(exact - approx) / abs(exact))
 
 
-def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[int, mpmath.mpf]]:
-    """|Phi_d(alpha, beta)| for each divisor d > 1 of n, ascending in d; n - 1 <= DEFAULT_MAX_K.
+def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[int, int]]:
+    """|Phi_d(alpha, beta)| for each divisor d > 1 of n, ascending in d, as
+    exact ints whose product is |tau(p^{n-1})|; n - 1 <= DEFAULT_MAX_K.
 
-    alpha, beta are the conjugate local roots, taken from _local_angle at
-    CLOSED_FORM_DIGITS digits; the product over all listed d equals
-    |tau(p^{n-1})| because alpha^n - beta^n factors through the
-    homogenized cyclotomic polynomials.
+    alpha, beta are the local roots, with Lucas terms u_e = (alpha^e -
+    beta^e) / (alpha - beta) = tau(p^{e-1}) from hecke_terms.  As alpha^n -
+    beta^n is the product of Phi_d(alpha, beta) over d | n, Moebius inversion
+    gives Phi_d(alpha, beta) = prod_{e | d} u_e^{mu(d/e)} for d > 1
+    (Bilu, Hanrot, Voutier, J. reine angew. Math. 539 (2001)), where d/e runs
+    over the squarefree products of d's primes, all of them primes of n.
+    Each quotient is exact; a nonzero remainder raises AssertionError.
+
+    Refuses tau(p)^2 >= 4 p^11 and the degenerate pairs, tau(p)^2 in
+    {0, p^11, 2 p^11, 3 p^11}: there alpha/beta is a root of unity and some
+    u_e is 0.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_max_k(n - 1)
+    _check_deligne(local)
+    # Below 4 p^11, tau(p)^2 is a multiple of p^11 exactly at the degenerate pairs.
+    if local.y_p % local.x_p == 0:
+        raise DegenerateDiscriminantError(
+            f"tau({local.p})^2 = {local.y_p} is {local.y_p // local.x_p}*p^11: alpha/beta is a "
+            "root of unity, so some tau(p^k) is 0"
+        )
+    u = [0, *islice(hecke_terms(local.tau_p, local.x_p), n)]  # u[e] = tau(p^{e-1})
+    factors = factorize(n).factors
+    primes = [q for q, _ in factors]
+    divisors = [1]
+    for q, a in factors:
+        divisors = [d * q**i for d in divisors for i in range(a + 1)]
     out = []
-    ctx = _THREAD.ctx
-    with ctx.workdps(CLOSED_FORM_DIGITS):
-        r, theta = _local_angle(ctx, local)
-        alpha = r * ctx.exp(ctx.mpc(0, theta))
-        beta = ctx.conj(alpha)
-        for d in range(2, n + 1):
-            if n % d:
-                continue
-            mag = ctx.mpf(1)
-            for m in range(1, d + 1):
-                if gcd(m, d) == 1:
-                    zeta = ctx.expjpi(ctx.mpf(2 * m) / d)
-                    mag *= abs(alpha - zeta * beta)
-            out.append((d, _plain(mag)))
+    for d in sorted(divisors)[1:]:
+        # (s, mu(s)) for each squarefree s | d, so e = d / s.
+        moebius = [(1, 1)]
+        for q in primes:
+            if d % q == 0:
+                moebius += [(s * q, -mu) for s, mu in moebius]
+        num = math.prod(u[d // s] for s, mu in moebius if mu > 0)
+        den = math.prod(u[d // s] for s, mu in moebius if mu < 0)
+        factor, rest = divmod(abs(num), abs(den))
+        if rest:
+            raise AssertionError(f"the Lucas terms' Moebius quotient for Phi_{d} is not exact")
+        out.append((d, factor))
     return out
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 from . import bounds as bnd
 from .cache import table_for
@@ -256,23 +257,32 @@ def _spectral_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
         + f" over {len(gaps)} gaps",
     )
 
+    # The factors' exact product, and each factor |Phi_d| against its
+    # trigonometric form, the product of 2 p^{11/2} |sin(t - pi m/d)| over
+    # m <= d prime to d, where cos t = tau(p) / (2 p^{11/2}).
     ctx.dps = 80
     worst_rel = ctx.mpf(0)
-    compared = 0
+    bad = compared = 0
     for p in primes_up_to(13):
         local = PrimeLocalData(p, table[p])
         values = _two_term_powers(p, local.tau_p, 19)
+        r = ctx.sqrt(local.x_p)
+        t = ctx.acos(local.tau_p / (2 * r))
         for n in range(2, 21):
-            prod = ctx.mpf(1)
-            for _, m in cyclotomic_factor_magnitudes(local, n):
-                prod *= m
-            exact = abs(values[n - 1])
+            factors = cyclotomic_factor_magnitudes(local, n)
             compared += 1
-            worst_rel = max(worst_rel, abs(prod - exact) / exact if exact else ctx.inf)
+            bad += math.prod(f for _, f in factors) != abs(values[n - 1])
+            for d, f in factors:
+                trig = ctx.mpf(1)
+                for m in range(1, d + 1):
+                    if math.gcd(m, d) == 1:
+                        trig *= 2 * r * abs(ctx.sin(t - ctx.pi * m / d))
+                worst_rel = max(worst_rel, abs(trig - f) / f)
     yield (
         "cyclotomic magnitudes rebuild |tau(p^{n-1})|, p <= 13, n <= 20",
-        worst_rel < 1e-9,
-        f"worst relative error {mpmath.nstr(worst_rel, 3)} over {compared} values",
+        bad == 0 and worst_rel < 1e-50,
+        f"{bad} products differ from |tau(p^(n-1))|, worst factor gap to the trigonometric form "
+        f"{mpmath.nstr(worst_rel, 3)} over {compared} values",
     )
 
     growth = []
@@ -433,16 +443,26 @@ def _bounds_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
         < ctx.mpf(10) ** -40
         for m in range(1, 30)
     )
-    neg_ok = all(bnd.decade_margin(m) < 0 for m in range(6, 13))
+    # Every decade_margin sign, proven by interval arithmetic: an interval
+    # holding 0 decides nothing and fails the check.
+    iv = MPIntervalContext()
+    iv.dps = 50
+    signs = [_margin_sign(iv, m) for m in range(1, bnd.CROSSOVER_M_MAX + 1)]
+    proven = all(
+        sign != 0 and (sign > 0) == (bnd.decade_margin(m) > 0) for m, sign in enumerate(signs, start=1)
+    )
+    neg_ok = all(sign < 0 for sign in signs[5:12])
     crossover = bnd.positivity_crossover()
     # The crossover is a sign change, not only the start of a positive run.
     sign_ok = (
         crossover is not None
-        and bnd.decade_margin(crossover) > 0 >= bnd.decade_margin(crossover - 1)
+        and crossover > 1
+        and signs[crossover - 2] < 0
+        and all(sign > 0 for sign in signs[crossover - 1 :])
     )
     yield (
         "decade growth law, early deficit, and positivity crossover",
-        ratio_ok and neg_ok and sign_ok,
+        ratio_ok and proven and neg_ok and sign_ok,
         f"floor/ceiling margin turns positive at M = {crossover}",
     )
 
@@ -498,6 +518,21 @@ def _hecke_consistency(table: TauTable) -> tuple[bool, str]:
                 if table[m * n] != table[m] * table[n]:
                     bad += 1
     return bad == 0, f"{bad} violations over {powers} prime powers and {pairs} coprime pairs"
+
+
+def _margin_sign(iv: MPIntervalContext, m: int) -> int:
+    """The sign of bounds.decade_margin(m), +1 or -1, from an interval
+    evaluation of its formula at N = 10^{m+1} on iv, with the window's k
+    counted one by one; 0 when the interval holds 0."""
+    n = 10 ** (m + 1)
+    k_count = 0
+    while 4 ** (3 + k_count) < n:
+        k_count += 1
+    log_n = iv.log(iv.mpf(n))
+    floor = 7 * iv.mpf(10) ** m / (11 * iv.log(10) * (m + 1))
+    ceiling = iv.exp(log_n * 9 / 10) * log_n / (2 * iv.log(2))
+    margin = floor - ceiling * k_count
+    return 1 if margin.a > 0 else -1 if margin.b < 0 else 0
 
 
 def _two_term_powers(p: int, tau_p: int, max_exponent: int) -> list[int]:

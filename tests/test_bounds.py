@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.ctx_iv import MPIntervalContext
 
 from tauprimes.bounds import (
+    CROSSOVER_M_MAX,
     DEFAULT_DPS,
     _bvdp,
     admissible_k_range,
@@ -30,6 +32,7 @@ from tauprimes.spectral import (
     min_gap,
     root_set,
 )
+from tauprimes.verify import _margin_sign
 
 
 def test_k_range_exact_at_64():
@@ -168,6 +171,18 @@ def test_decade_margin_and_crossover():
     assert decade_margin(crossover - 1) <= 0
     for m in range(crossover, crossover + 25):
         assert decade_margin(m) > 0
+
+
+def test_margin_signs_proven_by_intervals():
+    # verify's interval signs: at 50 digits every one is decided and matches
+    # the point sign; too few bits leave intervals about 0 near the crossover.
+    iv = MPIntervalContext()
+    iv.dps = 50
+    signs = [_margin_sign(iv, m) for m in range(1, CROSSOVER_M_MAX + 1)]
+    assert signs == [-1] * 75 + [1] * (CROSSOVER_M_MAX - 75)
+    assert all((sign > 0) == (decade_margin(m) > 0) for m, sign in enumerate(signs, start=1))
+    iv.prec = 10
+    assert [m for m in range(1, CROSSOVER_M_MAX + 1) if _margin_sign(iv, m) == 0] == [74, 75, 76, 77]
 
 
 def test_bound_report_per_k_matches_bvdp_count_bound():

@@ -542,6 +542,12 @@ def principal_witness(witness):
         (principal_witness([5, 5]), "'class23' is PrincipalForm [5, 5], but"),
         ({"payload": {"hits": [{**TAU4_HIT, "k": 0, "exponent": 0}]}}, "'k' is 0, but must be >= 1"),
         ({"payload": {"hits": [{**TAU4_HIT, "p": 4}]}}, "'p' is 4, not a prime <= 200000"),
+        ({"payload": {"hits": [{**TAU4_HIT, "verdict": "Bogus"}]}}, "'verdict' is 'Bogus', not one of"),
+        # An even value above 2 is composite, whatever the document says.
+        (
+            {"payload": {"hits": [{**TAU4_HIT, "verdict": "ProbablePrime"}]}},
+            "'verdict' is ProbablePrime, but the value is even",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -558,6 +564,8 @@ def principal_witness(witness):
         "witness-not-of-p",
         "k-zero",
         "p-not-prime",
+        "verdict-unknown",
+        "verdict-against-value",
     ],
 )
 def test_census_names_the_malformed_field(capsys, tmp_path, doc, field):
@@ -725,8 +733,15 @@ def mpmath_uses(tree):
 def test_one_precision_path():
     # mpmath.mp's precision is one setting for the whole process, so the
     # package computes only on mpmath contexts it owns: no workdps, no read or
-    # write of mpmath.mp.prec or dps, no function of the global context.
-    allowed = {"mpmath.MPContext", "mpmath.mp.make_mpf", "mpmath.nstr", "from mpmath import libmp"}
+    # write of mpmath.mp.prec or dps, no function of the global context, nor
+    # of mpmath.iv's; verify makes its own interval context.
+    allowed = {
+        "mpmath.MPContext",
+        "mpmath.mp.make_mpf",
+        "mpmath.nstr",
+        "from mpmath import libmp",
+        "from mpmath.ctx_iv import MPIntervalContext",
+    }
     src = Path(tauprimes.__file__).parent
     uses = {
         f"{path.name}:{line} {name}": name in allowed or (name == "mpmath.mpf" and annotated)

@@ -91,7 +91,7 @@ def test_tau_of_n_missing_prime():
 
 
 def test_deligne_check():
-    # Both public callers of the local angle accept tau(p)^2 < 4 p^11 and
+    # Both public functions of the local roots accept tau(p)^2 < 4 p^11 and
     # refuse the rest.
     for call in (closed_form_residual, cyclotomic_factor_magnitudes):
         call(PrimeLocalData(2, TAU2), 2)

@@ -1,4 +1,4 @@
-"""Report encoding: to_json against the standard library's json."""
+"""Report encoding: to_json against the standard library's json, and hits read back."""
 
 import gc
 import json
@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauprimes.cli import main
-from tauprimes.reports import to_json
+from tauprimes.congruence import classify_mod23
+from tauprimes.reports import class23_to_dict, hit_from_dict, to_json
+from tauprimes.search import Verdict
 
 # Quotes, backslashes, control characters, DEL and non-ASCII (BMP and astral)
 # are drawn often, next to arbitrary text.
@@ -151,3 +153,36 @@ def test_to_json_leaves_no_cycles():
         if enabled:
             gc.enable()
     assert text == dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "value, verdicts",
+    [
+        (0, {Verdict.ZERO}),
+        (2, {Verdict.PLUS_MINUS_TWO}),
+        (-2, {Verdict.PLUS_MINUS_TWO}),
+        (-1472, {Verdict.COMPOSITE}),
+        (4, {Verdict.COMPOSITE}),
+        # Odd values are not re-tested, so either real verdict is taken.
+        (7, {Verdict.PROBABLE_PRIME, Verdict.COMPOSITE}),
+        (-9, {Verdict.PROBABLE_PRIME, Verdict.COMPOSITE}),
+        (1, {Verdict.PROBABLE_PRIME, Verdict.COMPOSITE}),
+    ],
+)
+def test_hit_verdict_must_fit_the_value(value, verdicts):
+    # Zero, PlusMinusTwo and the even Composites follow from the value alone.
+    for verdict in Verdict:
+        doc = {
+            "p": 2,
+            "k": 1,
+            "exponent": 2,
+            "value": str(value),
+            "residue23": value % 23,
+            "class23": class23_to_dict(classify_mod23(2)),
+            "verdict": verdict.value,
+        }
+        if verdict in verdicts:
+            assert hit_from_dict(doc).verdict is verdict
+        else:
+            with pytest.raises(ValueError, match=f"^hit field 'verdict' is {verdict.value}, but the value is "):
+                hit_from_dict(doc)

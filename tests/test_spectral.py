@@ -1,6 +1,7 @@
 """Even-index polynomials, their roots, and the local spectral identities."""
 
 from fractions import Fraction
+from math import gcd, prod
 
 import mpmath
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from tauprimes import spectral
 from tauprimes.errors import BudgetExceededError, DegenerateDiscriminantError
-from tauprimes.hecke import PrimeLocalData
+from tauprimes.hecke import PrimeLocalData, tau_prime_power
 from tauprimes.spectral import (
     DEFAULT_MAX_K,
     EvenIndexPoly,
@@ -216,12 +217,43 @@ def test_cyclotomic_magnitudes(table10k):
     local = PrimeLocalData(2, table10k[2])
     mags = cyclotomic_factor_magnitudes(local, 6)
     assert [d for d, _ in mags] == [2, 3, 6]
-    with mpmath.workdps(60):
-        # |Phi_2| = |alpha + beta| = |tau(2)|, |Phi_3| = |tau(4)|
-        assert abs(mags[0][1] - 24) < mpmath.mpf(10) ** -50
-        assert abs(mags[1][1] - 1472) < mpmath.mpf(10) ** -45
-        prod = mags[0][1] * mags[1][1] * mags[2][1]
-        assert abs(prod - abs(table10k[32])) / abs(table10k[32]) < mpmath.mpf(10) ** -50
+    # |Phi_2| = |alpha + beta| = |tau(2)|, |Phi_3| = |tau(4)|
+    assert mags[0][1] == 24
+    assert mags[1][1] == 1472
+    assert mags[0][1] * mags[1][1] * mags[2][1] == abs(table10k[32])
+
+
+def test_cyclotomic_factors_are_exact(table10k):
+    # Exact ints multiplying to |tau(p^{n-1})|; Phi_d = u_d at prime d, as u_1 = 1.
+    for p in sympy.primerange(2, 201):
+        local = PrimeLocalData(p, table10k[p])
+        u = [0, *(tau_prime_power(local, e - 1) for e in range(1, 61))]
+        for n in range(2, 61):
+            factors = cyclotomic_factor_magnitudes(local, n)
+            assert [d for d, _ in factors] == [d for d in range(2, n + 1) if n % d == 0]
+            assert all(type(f) is int for _, f in factors)
+            assert prod(f for _, f in factors) == abs(u[n]), (p, n)
+            for d, f in factors:
+                if sympy.isprime(d):
+                    assert f == abs(u[d]), (p, n, d)
+
+
+def trig_factor(ctx, local, d):
+    """Test-local oracle: |Phi_d(alpha, beta)| = prod of 2 r |sin(t - pi m/d)|
+    over m <= d prime to d, with alpha, beta = r e^{+-it}."""
+    r = ctx.sqrt(local.x_p)
+    t = ctx.acos(local.tau_p / (2 * r))
+    return ctx.fprod(2 * r * abs(ctx.sin(t - ctx.pi * m / d)) for m in range(1, d + 1) if gcd(m, d) == 1)
+
+
+def test_cyclotomic_factors_match_trig_form(table10k):
+    ctx = mpmath.MPContext()
+    ctx.dps = 80
+    for p in sympy.primerange(2, 50):
+        local = PrimeLocalData(p, table10k[p])
+        for n in (12, 30, 36, 40):
+            for d, f in cyclotomic_factor_magnitudes(local, n):
+                assert abs(trig_factor(ctx, local, d) - f) / f < 1e-50, (p, n, d)
 
 
 def test_cyclotomic_validation(table10k):
@@ -229,6 +261,24 @@ def test_cyclotomic_validation(table10k):
         cyclotomic_factor_magnitudes(PrimeLocalData(2, table10k[2]), 1)
     with pytest.raises(DegenerateDiscriminantError):
         cyclotomic_factor_magnitudes(PrimeLocalData(2, 91), 6)
+
+
+def test_cyclotomic_quotients_must_be_exact(monkeypatch):
+    # Terms that are no Lucas sequence leave Phi_6 = u_6 u_1 / (u_3 u_2) = 17/35.
+    monkeypatch.setattr(spectral, "hecke_terms", lambda tau_p, x_p: iter([1, 5, 7, 11, 13, 17]))
+    with pytest.raises(AssertionError, match="Phi_6 is not exact"):
+        cyclotomic_factor_magnitudes(PrimeLocalData(2, -24), 6)
+
+
+def test_cyclotomic_refuses_degenerate_pairs():
+    # tau(p)^2 = 0, 2 p^11 or 3 p^11: alpha/beta is a root of unity of order
+    # 2, 4 or 6, and u_e = 0 at its multiples.  Integers meet these at any p,
+    # p = 2 and p = 3 alone; p^11 itself, order 3, is never a square.
+    for local in (PrimeLocalData(2, 64), PrimeLocalData(3, 729), PrimeLocalData(5, 0)):
+        assert local.y_p % local.x_p == 0
+        for n in (2, 3, 12):
+            with pytest.raises(DegenerateDiscriminantError, match="root of unity"):
+                cyclotomic_factor_magnitudes(local, n)
 
 
 def test_growth_check(table10k):
