@@ -25,8 +25,8 @@ from .reports import (
     class23_to_dict,
     census_to_dict,
     envelope,
-    hit_from_dict,
     hit_to_dict,
+    hits_from_dicts,
     hits_to_csv,
     to_json,
 )
@@ -198,8 +198,7 @@ def _cmd_census(args) -> int:
     payload = doc.get("payload") if isinstance(doc, dict) else None
     if not isinstance(payload, dict) or not isinstance(payload.get("hits"), list):
         raise ValueError(f"{args.from_path} is not a search report: it needs a list at payload.hits")
-    hits = [hit_from_dict(d) for d in payload["hits"]]
-    report = census_by_residue(hits, args.cap)
+    report = census_by_residue(hits_from_dicts(payload["hits"]), args.cap)
     out = envelope(
         "census",
         {"from": str(args.from_path), "cap": str(args.cap)},

@@ -19,9 +19,11 @@ import mpmath
 
 from . import __version__
 from .bounds import BoundReport
-from .congruence import Class23, classify_mod23
+from .cache import table_for
+from .congruence import Class23
+from .hecke import DEFAULT_MAX_K
 from .primality import is_probable_prime
-from .search import CensusReport, SearchHit, Verdict
+from .search import CensusReport, SearchHit, Verdict, rebuild_hits
 from .series import DEFAULT_LIMIT_CEILING
 
 REAL_DIGITS = 30
@@ -146,55 +148,32 @@ def hit_to_dict(hit: SearchHit) -> dict[str, Any]:
     }
 
 
-def hit_from_dict(d: Any) -> SearchHit:
-    """The hit that hit_to_dict wrote as d.  A field that is missing, not of
-    the JSON type hit_to_dict writes, out of range (k >= 1, p a prime no
-    larger than DEFAULT_LIMIT_CEILING) or not what the other fields make it
-    (exponent 2k, class23 the class of p, residue23 value mod 23, a verdict
-    of the value's trivial class: Zero, PlusMinusTwo and Composite for 0, +-2
-    and the other even values) raises ValueError naming that field."""
-    _require_fields(d, "hit", p=int, k=int, exponent=int, value=str, residue23=int, class23=dict, verdict=str)
-    if d["k"] < 1:
-        raise ValueError(f"hit field 'k' is {d['k']}, but must be >= 1")
-    if d["exponent"] != 2 * d["k"]:
-        raise ValueError(f"hit field 'exponent' is {d['exponent']}, but 2k is {2 * d['k']}")
-    p = d["p"]
-    # Before classify_mod23, which takes O(sqrt p) steps.
-    if not (2 <= p <= DEFAULT_LIMIT_CEILING and is_probable_prime(p)):
-        raise ValueError(f"hit field 'p' is {p}, not a prime <= {DEFAULT_LIMIT_CEILING}")
-    _require_fields(d["class23"], "hit class23", tag=str)
-    tag, witness = d["class23"]["tag"], d["class23"].get("witness")
-    if witness is not None and not (type(witness) is list and all(type(w) is int for w in witness)):
-        raise ValueError("hit field 'class23.witness' must be null or a list of integers")
-    class23 = classify_mod23(p)
-    want = class23_to_dict(class23)
-    if (tag, witness) != (want["tag"], want["witness"]):
-        raise ValueError(
-            f"hit field 'class23' is {tag} {witness}, but classify_mod23({p}) is {want['tag']} {want['witness']}"
-        )
-    try:
-        value = int(d["value"])
-    except ValueError as exc:
-        raise ValueError(f"hit field 'value': {exc}") from None
-    if d["residue23"] != value % 23:
-        raise ValueError(f"hit field 'residue23' is {d['residue23']}, but value mod 23 is {value % 23}")
-    try:
-        verdict = Verdict(d["verdict"])
-    except ValueError:
-        raise ValueError(f"hit field 'verdict' is {d['verdict']!r}, not one of {[v.value for v in Verdict]}") from None
-    size = abs(value)
-    kind = "0" if size == 0 else "+-2" if size == 2 else "even" if size % 2 == 0 else "odd"
-    allowed = {"0": (Verdict.ZERO,), "+-2": (Verdict.PLUS_MINUS_TWO,), "even": (Verdict.COMPOSITE,)}
-    if verdict not in allowed.get(kind, (Verdict.PROBABLE_PRIME, Verdict.COMPOSITE)):
-        raise ValueError(f"hit field 'verdict' is {verdict.value}, but the value is {kind}")
-    return SearchHit(
-        p=d["p"],
-        k=d["k"],
-        value=value,
-        residue23=d["residue23"],
-        class23=class23,
-        verdict=verdict,
-    )
+def hits_from_dicts(ds: list) -> list[SearchHit]:
+    """The hits that hit_to_dict wrote as ds, rebuilt by the search (rebuild_hits).
+    A field that is missing, not of the JSON type hit_to_dict writes or unlike
+    hit_to_dict of the rebuilt hit, a k outside 1..DEFAULT_MAX_K, a p not a prime
+    <= DEFAULT_LIMIT_CEILING or a repeated (p, k) raises ValueError naming it."""
+    claims: dict[tuple[int, int], Verdict] = {}
+    for d in ds:
+        _require_fields(d, "hit", p=int, k=int, exponent=int, value=str, residue23=int, class23=dict, verdict=str)
+        p, k, claim = d["p"], d["k"], d["verdict"]
+        if not 1 <= k <= DEFAULT_MAX_K:
+            raise ValueError(f"hit field 'k' is {k}, not in 1..{DEFAULT_MAX_K}")
+        if not (2 <= p <= DEFAULT_LIMIT_CEILING and is_probable_prime(p)):
+            raise ValueError(f"hit field 'p' is {p}, not a prime <= {DEFAULT_LIMIT_CEILING}")
+        try:
+            verdict = Verdict(claim)
+        except ValueError:
+            raise ValueError(f"hit field 'verdict' is {claim!r}, not one of {[v.value for v in Verdict]}") from None
+        if (p, k) in claims:
+            raise ValueError(f"hit p={p}, k={k} is repeated")
+        claims[p, k] = verdict
+    hits = rebuild_hits(claims, table=table_for(max((p for p, _ in claims), default=1)))
+    for d, hit in zip(ds, hits):
+        for name, want in hit_to_dict(hit).items():
+            if d[name] != want:
+                raise ValueError(f"hit field {name!r} is {d[name]!r}, but p={hit.p}, k={hit.k} gives {want!r}")
+    return hits
 
 
 def _require_fields(d: Any, what: str, **kinds: type) -> None:

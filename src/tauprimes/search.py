@@ -40,7 +40,8 @@ search_prime_tau runs in three phases:
  3. the parent builds the hits in (p, k) order and checks each
     probable-prime hit mod 23.
 
-The values, verdicts and hits are the same on either route.
+The values, verdicts and hits are the same on either route.  census --from
+rebuilds a report's hits through phases 2-3, in the parent (rebuild_hits).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .congruence import (
     classify_mod23,
     excluded_b_set,
 )
-from .hecke import PrimeLocalData, _check_max_k, hecke_terms
+from .hecke import _check_max_k, hecke_terms
 from .primality import has_small_factor, is_probable_prime, passes_strong_tests, primes_up_to
 from .series import TauTable
 
@@ -167,7 +168,7 @@ def _verdict_for(row: list[int], k: int) -> Verdict:
 
 
 # A point is (p, k, row): row is p's list [tau(p^0), tau(p^2), ...], shared
-# by every point of that p and cut after its last in-cap k.
+# by every point of that p and cut after its last k in use.
 _Point = tuple[int, int, list[int]]
 
 
@@ -276,18 +277,38 @@ def search_prime_tau(
         raise ValueError(f"table covers 1..{table.limit}, need 1..{p_max}")
 
     points: list[_Point] = []
-    classes = {}
     for p in primes_up_to(p_max):
-        local = PrimeLocalData(p, table[p])
-        classes[p] = classify_mod23(p)
-        row = [1, *islice(hecke_terms(local.tau_p, local.x_p), 2, 2 * k_max + 1, 2)]
+        row = _row(p, table[p], k_max)
         ks = [k for k in range(1, len(row)) if abs(row[k]) <= value_cap]
         if ks:
             del row[ks[-1] + 1 :]
             points += [(p, k, row) for k in ks]
+    return _hits(points, _verdicts(points))
 
+
+def rebuild_hits(claims: dict[tuple[int, int], Verdict], *, table: TauTable) -> list[SearchHit]:
+    """The search's hits at the claimed (p, k), in the claims' order; p a prime
+    <= table.limit, 1 <= k <= DEFAULT_MAX_K.  Every verdict is decided afresh
+    except a Composite claimed for an odd value: it can only lower a census."""
+    # dict() keeps each p's last, so largest, claimed k.
+    rows = {p: _row(p, table[p], k) for p, k in dict(sorted(claims)).items()}
+    verdicts = [
+        claim if claim is Verdict.COMPOSITE and rows[p][k] & 1 else _verdict_for(rows[p], k)
+        for (p, k), claim in claims.items()
+    ]
+    return _hits([(p, k, rows[p]) for p, k in claims], verdicts)
+
+
+def _row(p: int, tau_p: int, k_max: int) -> list[int]:
+    """[tau(p^0), tau(p^2), ..., tau(p^{2 k_max})] of the prime p."""
+    return [1, *islice(hecke_terms(tau_p, p**11), 2, 2 * k_max + 1, 2)]
+
+
+def _hits(points: list[_Point], verdicts: list[Verdict]) -> list[SearchHit]:
+    """The hit at each point, each probable prime checked mod 23."""
+    classes = {p: classify_mod23(p) for p in {p for p, _, _ in points}}
     hits: list[SearchHit] = []
-    for (p, k, row), verdict in zip(points, _verdicts(points)):
+    for (p, k, row), verdict in zip(points, verdicts):
         cls = classes[p]
         value = row[k]
         residue = value % 23

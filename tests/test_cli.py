@@ -519,6 +519,17 @@ def principal_witness(witness):
     return {"payload": {"hits": [{**TAU59SQ_HIT, "class23": {"tag": "PrincipalForm", "witness": witness}}]}}
 
 
+def search_report(pmax, vmax, edit):
+    """A callable that makes search --pmax pmax --kmax 1 --vmax vmax's report and edits its hits."""
+
+    def make(capsys):
+        doc = json.loads(run(capsys, "search", "--pmax", pmax, "--kmax", "1", "--vmax", vmax)[1])
+        edit(doc["payload"]["hits"])
+        return doc
+
+    return make
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -526,27 +537,47 @@ def principal_witness(witness):
         ({"payload": {"hits": [{**TAU4_HIT, "p": [1]}]}}, "field 'p' must be int"),
         ({"hits": []}, "payload.hits"),
         ({"payload": {"hits": [{n: v for n, v in TAU4_HIT.items() if n != "k"}]}}, "no field 'k'"),
-        # The census counts by residue23, so one that is not value mod 23 (-1472 = -64 * 23) is refused.
+        # Each hit is rebuilt by the search, and the first field that differs
+        # from the rebuilt hit is named: here residue23, as -1472 = -64 * 23.
         ({"payload": {"hits": [{**TAU4_HIT, "residue23": 99, "verdict": "ProbablePrime"}]}}, "'residue23' is 99"),
-        ({"payload": {"hits": [{**TAU4_HIT, "residue23": 5}]}}, "'residue23' is 5, but value mod 23 is 0"),
-        # hit_to_dict writes exponent = 2k, so any other exponent is refused.
-        ({"payload": {"hits": [{**TAU4_HIT, "exponent": 7}]}}, "'exponent' is 7, but 2k is 2"),
+        ({"payload": {"hits": [{**TAU4_HIT, "residue23": 5}]}}, "'residue23' is 5, but p=2, k=1 gives 0"),
+        ({"payload": {"hits": [{**TAU4_HIT, "exponent": 7}]}}, "'exponent' is 7, but p=2, k=1 gives 2"),
         ({"payload": {"hits": [{**TAU4_HIT, "exponent": "2"}]}}, "field 'exponent' must be int, not str"),
         ({"payload": {"hits": [{n: v for n, v in TAU4_HIT.items() if n != "exponent"}]}}, "no field 'exponent'"),
         # class23 must be classify_mod23(p), witness included.
         (
             principal_witness([1, 2, 3]),
-            "'class23' is PrincipalForm [1, 2, 3], but classify_mod23(59) is PrincipalForm [6, 1]",
+            "'class23' is {'tag': 'PrincipalForm', 'witness': [1, 2, 3]}, but p=59, k=1 gives "
+            "{'tag': 'PrincipalForm', 'witness': [6, 1]}",
         ),
-        (principal_witness([]), "'class23' is PrincipalForm [], but"),
-        (principal_witness([5, 5]), "'class23' is PrincipalForm [5, 5], but"),
-        ({"payload": {"hits": [{**TAU4_HIT, "k": 0, "exponent": 0}]}}, "'k' is 0, but must be >= 1"),
+        (principal_witness([]), "'class23' is {'tag': 'PrincipalForm', 'witness': []}, but"),
+        (principal_witness([5, 5]), "'class23' is {'tag': 'PrincipalForm', 'witness': [5, 5]}, but"),
+        ({"payload": {"hits": [{**TAU4_HIT, "k": 0, "exponent": 0}]}}, "'k' is 0, not in 1..10000"),
+        # Refused before any row is built: the recurrence would run 10^9 steps.
+        (
+            {"payload": {"hits": [{**TAU4_HIT, "k": 10**9, "exponent": 2 * 10**9}]}},
+            "'k' is 1000000000, not in 1..10000",
+        ),
         ({"payload": {"hits": [{**TAU4_HIT, "p": 4}]}}, "'p' is 4, not a prime <= 200000"),
         ({"payload": {"hits": [{**TAU4_HIT, "verdict": "Bogus"}]}}, "'verdict' is 'Bogus', not one of"),
         # An even value above 2 is composite, whatever the document says.
         (
             {"payload": {"hits": [{**TAU4_HIT, "verdict": "ProbablePrime"}]}},
-            "'verdict' is ProbablePrime, but the value is even",
+            "'verdict' is 'ProbablePrime', but p=2, k=1 gives 'Composite'",
+        ),
+        # tau(2^2) forged to -1473, with its residue and verdict made to fit.
+        (
+            {"payload": {"hits": [{**TAU4_HIT, "value": "-1473", "residue23": 22, "verdict": "ProbablePrime"}]}},
+            "'value' is '-1473', but p=2, k=1 gives '-1472'",
+        ),
+        # So is an odd value's verdict: tau(3^2) = -113643 = -3 * 37881.
+        (
+            search_report("3", "1e10", lambda hits: hits[1].update(verdict="ProbablePrime")),
+            "'verdict' is 'ProbablePrime', but p=3, k=1 gives 'Composite'",
+        ),
+        (
+            search_report("300", "1e27", lambda hits: hits.append(next(h for h in hits if h["p"] == 251))),
+            "hit p=251, k=1 is repeated",
         ),
     ],
     ids=[
@@ -563,14 +594,18 @@ def principal_witness(witness):
         "witness-empty",
         "witness-not-of-p",
         "k-zero",
+        "k-above-max",
         "p-not-prime",
         "verdict-unknown",
         "verdict-against-value",
+        "value-forged",
+        "odd-verdict-forged",
+        "hit-repeated",
     ],
 )
 def test_census_names_the_malformed_field(capsys, tmp_path, doc, field):
     path = tmp_path / "hits.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc(capsys) if callable(doc) else doc))
     code, out, err = run(capsys, "census", "--from", str(path), "--cap", "10")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err

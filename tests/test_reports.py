@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauprimes.cli import main
-from tauprimes.congruence import classify_mod23
-from tauprimes.reports import class23_to_dict, hit_from_dict, to_json
-from tauprimes.search import Verdict
+from tauprimes.reports import hit_to_dict, hits_from_dicts, to_json
+from tauprimes.search import Verdict, census_by_residue, search_prime_tau
 
 # Quotes, backslashes, control characters, DEL and non-ASCII (BMP and astral)
 # are drawn often, next to arbitrary text.
@@ -155,6 +154,12 @@ def test_to_json_leaves_no_cycles():
     assert text == dumps(doc)
 
 
+@pytest.fixture(scope="module")
+def report300(table2k):
+    """The hits of search --pmax 300 --kmax 1 --vmax 1e27, as hit_to_dict writes them."""
+    return [hit_to_dict(h) for h in search_prime_tau(300, 1, 10**27, table=table2k)]
+
+
 @pytest.mark.parametrize(
     "value, verdicts",
     [
@@ -163,26 +168,40 @@ def test_to_json_leaves_no_cycles():
         (-2, {Verdict.PLUS_MINUS_TWO}),
         (-1472, {Verdict.COMPOSITE}),
         (4, {Verdict.COMPOSITE}),
-        # Odd values are not re-tested, so either real verdict is taken.
+        # An odd value admits either real verdict: a Composite claim is kept.
         (7, {Verdict.PROBABLE_PRIME, Verdict.COMPOSITE}),
         (-9, {Verdict.PROBABLE_PRIME, Verdict.COMPOSITE}),
         (1, {Verdict.PROBABLE_PRIME, Verdict.COMPOSITE}),
     ],
 )
-def test_hit_verdict_must_fit_the_value(value, verdicts):
-    # Zero, PlusMinusTwo and the even Composites follow from the value alone.
+def test_hit_verdict_must_fit_the_value(report300, value, verdicts):
+    # The p = 2 hit claims this value and, in turn, each verdict.  verdicts is
+    # what the value alone admits, but the value itself is not trusted either:
+    # tau(2^2) = -1472 is Composite, so only that pair is taken, and every
+    # other value is refused by name whatever verdict it claims.
+    real = next(d for d in report300 if d["p"] == 2)
     for verdict in Verdict:
-        doc = {
-            "p": 2,
-            "k": 1,
-            "exponent": 2,
-            "value": str(value),
-            "residue23": value % 23,
-            "class23": class23_to_dict(classify_mod23(2)),
-            "verdict": verdict.value,
-        }
-        if verdict in verdicts:
-            assert hit_from_dict(doc).verdict is verdict
+        doc = {**real, "value": str(value), "residue23": value % 23, "verdict": verdict.value}
+        if value == -1472 and verdict in verdicts:
+            assert [hit_to_dict(h) for h in hits_from_dicts([doc])] == [doc]
         else:
-            with pytest.raises(ValueError, match=f"^hit field 'verdict' is {verdict.value}, but the value is "):
-                hit_from_dict(doc)
+            field = "verdict" if value == -1472 else "value"
+            with pytest.raises(ValueError, match=f"^hit field '{field}' is '.*', but p=2, k=1 gives "):
+                hits_from_dicts([doc])
+
+
+@pytest.mark.parametrize("claim", [v.value for v in Verdict])
+def test_hits_from_dicts_rebuilds_each_hit(report300, claim):
+    # Each hit in turn claims this verdict.  Every verdict is decided afresh,
+    # but a Composite claimed for an odd value is kept: it can only lower the
+    # count.  Lehmer's tau(251^2) is the one odd probable prime here, so its
+    # relabelling is the one accepted, and the total drops by one.
+    for i, d in enumerate(report300):
+        forged = [*report300[:i], {**d, "verdict": claim}, *report300[i + 1 :]]
+        if claim == d["verdict"] or (d["p"] == 251 and claim == "Composite"):
+            hits = hits_from_dicts(forged)
+            assert [hit_to_dict(h) for h in hits] == forged
+            assert census_by_residue(hits, 10**27).total == (claim == d["verdict"])
+        else:
+            with pytest.raises(ValueError, match=f"^hit field 'verdict' is '{claim}', but p={d['p']}, k=1 gives "):
+                hits_from_dicts(forged)
