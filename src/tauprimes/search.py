@@ -24,7 +24,9 @@ verdict rests on the law; the law only picks which q to try.
 search_prime_tau runs in three phases:
 
  1. the parent runs each row's recurrence and collects every in-cap point
-    as (p, k, row), the row cut after its last in-cap k;
+    as (p, k, row), the row cut after its last in-cap k.  The row holds
+    None for each value over the cap: u_d divides u_n, so the index sieve
+    never reads one for a nonzero in-cap u_n;
  2. the verdicts.  Only odd values of 2^64 and above pass screen 1, so
     only they can reach a modular power past 64 bits.  When at least two cores are
     usable (os.sched_getaffinity), only the main thread is alive and
@@ -41,7 +43,8 @@ search_prime_tau runs in three phases:
     probable-prime hit mod 23.
 
 The values, verdicts and hits are the same on either route.  census --from
-rebuilds a report's hits through phases 2-3, in the parent (rebuild_hits).
+rebuilds a report's hits through phases 2-3, in the parent (rebuild_hits),
+from rows that hold only the claimed k and the entries the sieve reads.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from enum import Enum
 from functools import cache
 from itertools import islice
 from math import gcd, isqrt, prod
-from typing import BinaryIO, ClassVar, Sequence
+from typing import BinaryIO, ClassVar, Iterator, Sequence
 
 from .congruence import (
     Class23,
@@ -134,16 +137,23 @@ def _sieve_product(n: int) -> int:
     return prod(primes[:_SIEVE_DEPTH])
 
 
-def index_divisor(row: Sequence[int]) -> int:
+def _least_factor(n: int) -> int:
+    """The least prime factor of the odd n >= 3."""
+    return next((d for d in range(3, isqrt(n) + 1, 2) if n % d == 0), n)
+
+
+def index_divisor(row: Sequence[int | None]) -> int:
     """A proper divisor of |row[-1]| found by the index sieve, or 1.
 
     row is [tau(p^0), tau(p^2), ..., tau(p^{2k})] of one prime p, that is
     the Lucas terms u_1, u_3, ..., u_n, n = 2k + 1, of P = tau(p), Q = p^11.
+    Only row[k] and, for composite n, row[(d - 1) / 2] = u_d are read, d the
+    least prime factor of n.
     """
     k = len(row) - 1
     n = 2 * k + 1
     value = abs(row[k])
-    d = next((d for d in range(3, isqrt(n) + 1, 2) if n % d == 0), n)
+    d = _least_factor(n)
     if d < n:
         divisor = abs(row[(d - 1) // 2])
         return divisor if 1 < divisor < value and value % divisor == 0 else 1
@@ -151,7 +161,7 @@ def index_divisor(row: Sequence[int]) -> int:
     return divisor if divisor < value else 1
 
 
-def _verdict_for(row: list[int], k: int) -> Verdict:
+def _verdict_for(row: list[int | None], k: int) -> Verdict:
     """The verdict on row[k], where row holds tau(p^0), tau(p^2), ... of one p."""
     value = abs(row[k])
     if value == 0:
@@ -168,8 +178,9 @@ def _verdict_for(row: list[int], k: int) -> Verdict:
 
 
 # A point is (p, k, row): row is p's list [tau(p^0), tau(p^2), ...], shared
-# by every point of that p and cut after its last k in use.
-_Point = tuple[int, int, list[int]]
+# by every point of that p and cut after its last k in use; an entry no
+# verdict reads is None.
+_Point = tuple[int, int, list[int | None]]
 
 
 def _verdict_codes(points: list[_Point], share: list[int]) -> bytes:
@@ -277,9 +288,11 @@ def search_prime_tau(
         raise ValueError(f"table covers 1..{table.limit}, need 1..{p_max}")
 
     points: list[_Point] = []
+    low = -value_cap
     for p in primes_up_to(p_max):
-        row = _row(p, table[p], k_max)
-        ks = [k for k in range(1, len(row)) if abs(row[k]) <= value_cap]
+        # Each value over the cap is dropped as it comes (module docstring).
+        row = [1, *(v if low <= v <= value_cap else None for v in _terms(p, table[p], k_max))]
+        ks = [k for k in range(1, len(row)) if row[k] is not None]
         if ks:
             del row[ks[-1] + 1 :]
             points += [(p, k, row) for k in ks]
@@ -290,8 +303,14 @@ def rebuild_hits(claims: dict[tuple[int, int], Verdict], *, table: TauTable) -> 
     """The search's hits at the claimed (p, k), in the claims' order; p a prime
     <= table.limit, 1 <= k <= DEFAULT_MAX_K.  Every verdict is decided afresh
     except a Composite claimed for an odd value: it can only lower a census."""
-    # dict() keeps each p's last, so largest, claimed k.
-    rows = {p: _row(p, table[p], k) for p, k in dict(sorted(claims)).items()}
+    # The claimed k and the row[(d - 1) / 2] that index_divisor reads.
+    read: dict[int, set[int]] = {}
+    for p, k in claims:
+        read.setdefault(p, set()).update((k, (_least_factor(2 * k + 1) - 1) // 2))
+    rows = {
+        p: [1, *(v if j in ks else None for j, v in enumerate(_terms(p, table[p], max(ks)), 1))]
+        for p, ks in read.items()
+    }
     verdicts = [
         claim if claim is Verdict.COMPOSITE and rows[p][k] & 1 else _verdict_for(rows[p], k)
         for (p, k), claim in claims.items()
@@ -299,9 +318,9 @@ def rebuild_hits(claims: dict[tuple[int, int], Verdict], *, table: TauTable) -> 
     return _hits([(p, k, rows[p]) for p, k in claims], verdicts)
 
 
-def _row(p: int, tau_p: int, k_max: int) -> list[int]:
-    """[tau(p^0), tau(p^2), ..., tau(p^{2 k_max})] of the prime p."""
-    return [1, *islice(hecke_terms(tau_p, p**11), 2, 2 * k_max + 1, 2)]
+def _terms(p: int, tau_p: int, k_max: int) -> Iterator[int]:
+    """tau(p^2), tau(p^4), ..., tau(p^{2 k_max}) of the prime p."""
+    return islice(hecke_terms(tau_p, p**11), 2, 2 * k_max + 1, 2)
 
 
 def _hits(points: list[_Point], verdicts: list[Verdict]) -> list[SearchHit]:

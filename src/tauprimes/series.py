@@ -9,13 +9,19 @@ so the 24th power is the 8th power of that series.  The cube has only
 about sqrt(2N) nonzero terms below degree N, so cube^2 comes from a direct
 convolution of those terms (about pi N / 4 pairs).  cube^2 is then packed
 into a single base-10^w Decimal (Kronecker substitution) and squared,
-giving cube^4; its coefficients are read back, packed again at the width
-their square needs, and squared once more.  libmpdec multiplies large
-operands with a number-theoretic transform, so the whole table costs one
-sparse convolution and two big multiplications, each on limbs sized by
-Cauchy-Schwarz from the coefficients it squares.  Each square is reduced
-mod 10^(n*w) by slicing its digit string, and the signed coefficients are
-read back by offsetting every limb by half the base.
+giving cube^4, whose limbs are packed again at the width their square
+needs and squared once more.  libmpdec multiplies large operands with a
+number-theoretic transform, so the whole table costs one sparse
+convolution and two big multiplications, each on limbs sized by
+Cauchy-Schwarz from the coefficients it squares.
+
+Each coefficient c is written once, as the w-digit limb c + half with
+half = 5*10^(w-1); one Decimal of the joined limbs less half in every limb
+is the packed series.  Its square plus half in every limb, cut to the low
+n*w digits, holds every coefficient d of the square as the limb d + half,
+so cube^4 goes to the last stage as digits: each limb is zero-padded to
+the wider width, and only the sum of squares that sizes it reads the
+limbs as integers.
 
 A few single values tau(n) come from tau_values, by Niebur's convolution
 of the divisor sums (D. Niebur, Illinois J. Math. 19, 1975),
@@ -112,39 +118,43 @@ def _sparse_square(terms: tuple[tuple[int, int], ...], n: int) -> list[int]:
     return sq
 
 
-def _square(terms: Iterable[tuple[int, int]], n: int, w: int) -> list[int]:
-    """Coefficients below degree n of (sum c q^e)^2, exact when every input
-    and output coefficient is below half = 5*10^(w-1) in size."""
-    digits = n * w
-    pos = ["0" * w] * n
-    neg = ["0" * w] * n
-    for e, c in terms:
-        (pos if c > 0 else neg)[n - 1 - e] = str(abs(c)).zfill(w)
+def _square(limbs: Iterable[str], n: int, w_in: int, w: int) -> str:
+    """(sum c_i q^i)^2 below degree n, as the n limbs d_m + half of w digits,
+    highest degree first; half = 5*10^(w-1).
+
+    limbs are the n biased limbs c_i + 5*10^(w_in-1), w_in <= w digits each,
+    highest degree first; each is zero-padded to w digits here.  Exact when
+    every |c_i| < 5*10^(w_in-1) and every |d_m| < half."""
     # Exact arithmetic only: any rounding raises Inexact instead of passing.
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-    x = ctx.subtract(decimal.Decimal("".join(pos)), decimal.Decimal("".join(neg)))
-    del pos, neg  # n limb strings, not needed while squaring
-    # mod 10^digits by slicing the digit string (Decimal % is slow)
-    x = decimal.Decimal(str(ctx.multiply(x, x))[-digits:])
-    # x = sum d_i 10^(i*w) mod 10^digits with |d_i| < half; adding half to
-    # every limb makes each one a plain w-digit chunk d_i + half.
-    half = 5 * 10 ** (w - 1)
-    s = str(ctx.add(x, decimal.Decimal(str(half) * n)))[-digits:]
-    return [int(s[a - w : a]) - half for a in range(digits, 0, -w)]
+    # x = sum c_i 10^(i*w): one subtraction takes the bias off every limb.
+    x = ctx.subtract(
+        decimal.Decimal(("0" * (w - w_in)).join(limbs)),
+        decimal.Decimal(str(5 * 10 ** (w_in - 1)).zfill(w) * n),
+    )
+    x = ctx.multiply(x, x)
+    # x^2 >= 0 and (a mod M + H) mod M = (a + H) mod M, M = 10^(n*w): one
+    # add on the full square biases every limb, a shift at precision n*w
+    # keeps the low n*w digits (Decimal % is slow), and zfill restores the
+    # top limb's leading zeros.
+    x = ctx.add(x, decimal.Decimal(str(5 * 10 ** (w - 1)) * n))
+    ctx.prec = n * w
+    return str(ctx.shift(x, 0)).zfill(n * w)
 
 
 def _limb_width(h: list[int]) -> int:
-    """Digits of 2 sum h_i^2: at this width _square(enumerate(h), len(h), w) is exact.
+    """Digits of 2 sum h_i^2, a limb width at which _square packs h exactly.
 
-    Cauchy-Schwarz: |sum_{i+j=m} h_i h_j| <= sum h_i^2 for every m, and the
-    same sum bounds every |h_i| <= h_i^2, so h packs at that width too."""
+    With w digits, sum h_i^2 < half = 5*10^(w-1).  Cauchy-Schwarz:
+    |sum_{i+j=m} h_i h_j| <= sum h_i^2 for every m, and every |h_i| <= h_i^2,
+    so every coefficient of h and of its square is below half in size."""
     return len(str(2 * sum(c * c for c in h)))
 
 
 def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTable:
     """tau(1..limit) from the sparse cube: one direct convolution gives
     cube^2, then two packed squarings give cube^4 and cube^8, each on limbs
-    sized for its own square.
+    sized for its own square; cube^4 passes between them as digits.
 
     Refuses limits above `ceiling` instead of attempting an unbounded
     allocation; raise the ceiling explicitly for larger runs.
@@ -154,12 +164,21 @@ def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTabl
     _refuse_over_ceiling(limit, ceiling)
     # Delta = q * cube^8, so tau(n) is the cube^8 coefficient at degree n-1.
     h = _sparse_square(_cube_terms(limit - 1), limit)
-    for _ in range(2):
-        w = _limb_width(h)
-        terms = enumerate(h)
-        del h  # the exhausted iterator frees the list before the squaring
-        h = _square(terms, limit, w)
-    return TauTable(tuple(h))
+    w4 = _limb_width(h)
+    half = 5 * 10 ** (w4 - 1)
+    # |c| < half, so c + half is one limb in [1, 10^w4).
+    limbs = (str(c + half).zfill(w4) for c in reversed(h))
+    del h  # the exhausted iterator frees the list before the squaring
+    s = _square(limbs, limit, w4, w4)
+    cube4 = [s[a : a + w4] for a in range(0, len(s), w4)]  # the limbs g_i + half
+    del s
+    # Any wide enough width is exact, and a limb can be padded, not cut.
+    w8 = max(w4, _limb_width([int(c) - half for c in cube4]))
+    limbs = iter(cube4)
+    del cube4  # as above: the limbs go before the squaring
+    s = _square(limbs, limit, w4, w8)
+    half = 5 * 10 ** (w8 - 1)
+    return TauTable(tuple([int(s[a - w8 : a]) - half for a in range(len(s), 0, -w8)]))
 
 
 def _divisor_sums(limit: int) -> list[int]:

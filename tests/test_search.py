@@ -3,21 +3,25 @@
 import errno
 import os
 import signal
+import sys
 import threading
 import time
+import tracemalloc
+from itertools import islice
 from math import prod
 
 import pytest
 
 from tauprimes import search
 from tauprimes.congruence import Class23Tag, allowed_residues_for_prime_value, excluded_b_set
-from tauprimes.hecke import PrimeLocalData, tau_prime_power
+from tauprimes.hecke import PrimeLocalData, hecke_terms, tau_prime_power
 from tauprimes.primality import is_probable_prime, primes_up_to
 from tauprimes.search import (
     Verdict,
     _sieve_product,
     census_by_residue,
     index_divisor,
+    rebuild_hits,
     search_prime_tau,
     smallest_prime_tau,
 )
@@ -97,6 +101,34 @@ def test_index_divisor(table10k):
     assert row[2] % 2411 == 0 and index_divisor(row) % 2411 == 0
     assert index_divisor([1, LEHMER_VALUE]) == 1  # a prime value has no proper divisor
     assert index_divisor([1, 1031]) == 1  # nor has a prime q = -1 (mod 3) of the sieve itself
+
+
+def test_rebuild_keeps_the_index_divisor(table2k):
+    # tau(17^8) = u_9 is odd, of 180 bits, with no prime factor below 1024,
+    # and u_3 = tau(17^2) divides it: to refute a forged ProbablePrime the
+    # rebuilt row must hold row[1] as well as row[4].
+    (hit,) = [h for h in search_prime_tau(17, 4, 2**200, table=table2k) if (h.p, h.k) == (17, 4)]
+    assert hit.verdict is Verdict.COMPOSITE and hit.value.bit_length() == 180
+    assert rebuild_hits({(17, 4): Verdict.PROBABLE_PRIME}, table=table2k) == [hit]
+
+
+def test_rows_hold_only_what_is_read(table2k):
+    # One row to k = 2000: its values tau(2^{2k}) take about 3 MB together.
+    # The search holds the in-cap ones only, the rebuild the claimed k only.
+    whole = sum(map(sys.getsizeof, islice(hecke_terms(-24, 2**11), 0, 4001, 2)))
+    tracemalloc.start()
+    try:
+        hits = search_prime_tau(2, 2000, 10**100, table=table2k)
+        search_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rebuilt = rebuild_hits({(2, 2000): Verdict.COMPOSITE}, table=table2k)
+        rebuild_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [h.k for h in hits] == list(range(1, 31))
+    assert rebuilt[0].value == tau_prime_power(PrimeLocalData(2, -24), 4000)
+    assert whole > 2_500_000
+    assert search_peak < whole / 20 and rebuild_peak < whole / 20
 
 
 def test_sieve_product():

@@ -3,10 +3,11 @@
 import hashlib
 import io
 from bisect import bisect_left
+from itertools import accumulate
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauprimes.cache import dump_cache
@@ -17,6 +18,7 @@ from tauprimes.series import (
     _cube_terms,
     _limb_width,
     _sparse_square,
+    _square,
     delta_series,
     tau_values,
 )
@@ -105,6 +107,67 @@ def test_sparse_square_matches_dense_square(series, n):
     # Any sparse series with ascending exponents, some of them at or past n.
     dense = [series.get(e, 0) for e in range(n)]
     assert _sparse_square(tuple(sorted(series.items())), n) == dense_square(dense)
+
+
+def pack(h, w):
+    # The biased limbs c + half, w digits each, highest degree first.
+    half = 5 * 10 ** (w - 1)
+    return [str(c + half).zfill(w) for c in reversed(h)]
+
+
+def unpack(digits, w):
+    # The signed coefficients of biased w-digit limbs, lowest degree first.
+    half = 5 * 10 ** (w - 1)
+    return [int(digits[a - w : a]) - half for a in range(len(digits), 0, -w)]
+
+
+def tight_width(coeffs):
+    # The fewest digits w with every |c| < 5*10^(w-1).
+    return len(str(2 * max(map(abs, coeffs))))
+
+
+BIG = 10**30
+signed_series = st.one_of(
+    st.lists(st.integers(-BIG, BIG), min_size=1, max_size=80),
+    st.lists(st.integers(-BIG, -1), min_size=1, max_size=80),
+    st.lists(st.integers(1, BIG), min_size=1, max_size=80).map(lambda a: [c if i % 2 else -c for i, c in enumerate(a)]),
+    st.lists(st.tuples(st.integers(-BIG, BIG), st.integers(0, 12)), min_size=1, max_size=20).map(
+        lambda runs: [x for c, zeros in runs for x in [c, *[0] * zeros]]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_series, st.integers(0, 3), st.booleans())
+@example([1, -21], 0, True)  # the top limb -42 + 50 has a leading zero
+def test_packed_square_matches_dense_square(h, pad, tight):
+    # At _limb_width's width, its input limbs zero-padded by pad digits as
+    # delta_series pads cube^4's; or at the fewest digits that hold the
+    # inputs, then the outputs, where limbs reach their bounds.
+    want = dense_square(h)
+    if tight:
+        w_in = tight_width(h)
+        w = max(w_in, tight_width(want))
+    else:
+        w_in = _limb_width(h)
+        w = w_in + pad
+    digits = _square(pack(h, w_in), len(h), w_in, w)
+    assert len(digits) == len(h) * w
+    assert unpack(digits, w) == want
+
+
+def test_second_stage_never_packs_narrower():
+    # delta_series pads cube^4's w4-digit limbs to w8 = max(w4, _limb_width
+    # of cube^4).  Up to 20000 terms the Cauchy-Schwarz width of cube^4 alone
+    # is never below w4, so the max never changes a width.
+    n = 20_000
+    cube2 = _sparse_square(_cube_terms(n - 1), n)
+    w = _limb_width(cube2)
+    cube4 = unpack(_square(pack(cube2, w), n, w, w), w)
+    assert cube4[:2000] == dense_square(cube2[:2000])
+    squares2 = accumulate(map(mul, cube2, cube2))
+    squares4 = accumulate(map(mul, cube4, cube4))
+    assert all(len(str(2 * b)) >= len(str(2 * a)) for a, b in zip(squares2, squares4))
 
 
 def width_steps(h):
