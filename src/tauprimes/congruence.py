@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from math import isqrt
 
-from .hecke import hecke_terms
+from .hecke import _term
 
 
 class Class23Tag(Enum):
@@ -76,13 +75,13 @@ _SEEDS = {
 
 
 def tau_mod23(cls: Class23, k: int) -> int:
-    """tau(p^k) mod 23 for any prime p in the given class (p != 23)."""
+    """tau(p^k) mod 23 for any prime p in the given class (p != 23), any k >= 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if cls.tag is Class23Tag.IS_TWENTY_THREE:
         raise ValueError("p = 23 has no class-determined residue; use exact tau")
     t1, e = _SEEDS[cls.tag]
-    return next(islice(hecke_terms(t1, e, 23), k, None))
+    return _term(t1, e, k, 23)
 
 
 def allowed_residues_for_prime_value(k: int) -> frozenset[int]:

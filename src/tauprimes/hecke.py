@@ -1,16 +1,18 @@
 """Multiplicative structure of tau.
 
 tau is multiplicative on coprime arguments and satisfies the local
-recurrence tau(p^m) = tau(p) tau(p^{m-1}) - p^11 tau(p^{m-2}), i.e. the
-power sums of the roots of x^2 - tau(p) x + p^11.  Everything here is
-exact big-integer arithmetic; the real-number view of those roots is in
-spectral.
+recurrence tau(p^m) = tau(p) tau(p^{m-1}) - p^11 tau(p^{m-2}), so
+tau(p^k) = U_{k+1} is a term of the Lucas sequence U of x^2 - tau(p) x +
+p^11 (U_0 = 0, U_1 = 1).  hecke_terms steps the recurrence, for callers
+that read consecutive terms; tau_prime_power reaches a single term by
+doubling the index.  Everything here is exact big-integer arithmetic; the
+real-number view of the roots is in spectral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, cycle, islice
+from itertools import accumulate, chain, cycle
 from typing import Iterator, Mapping
 
 from .errors import BudgetExceededError, MissingPrimeError
@@ -62,30 +64,51 @@ def _check_max_k(k: int) -> None:
         raise BudgetExceededError(f"k = {k} exceeds the ceiling {DEFAULT_MAX_K}")
 
 
-def hecke_terms(tau_p: int, x_p: int, modulus: int | None = None) -> Iterator[int]:
+def hecke_terms(tau_p: int, x_p: int) -> Iterator[int]:
     """Yield tau(p^0), tau(p^1), ... from tau(p) and x_p = p^11, without end.
 
-    This is the one implementation of the order-2 recurrence
-    tau(p^m) = tau(p) tau(p^{m-1}) - p^11 tau(p^{m-2}).  With a modulus
-    every term is reduced mod it; None means exact integers.
+    One step of tau(p^m) = tau(p) tau(p^{m-1}) - p^11 tau(p^{m-2}) per
+    term: for callers that read every term, or every other, in order.
     """
     prev, cur = 1, tau_p
-    if modulus is not None:
-        prev, cur = prev % modulus, cur % modulus
     yield prev
     while True:
         yield cur
         prev, cur = cur, tau_p * cur - x_p * prev
+
+
+def _term(tau_p: int, x_p: int, k: int, modulus: int | None = None) -> int:
+    """tau(p^k) = U_{k+1}, from tau(p) and x_p = p^11, in O(log k) products.
+
+    The pair (U_m, U_{m+1}) = (tau(p^{m-1}), tau(p^m)) starts at m = 0 and
+    reads the bits of k + 1 from the top.  Each bit doubles m by
+
+        U_{2m}   = U_m (2 U_{m+1} - tau(p) U_m),
+        U_{2m+1} = U_{m+1}^2 - p^11 U_m^2,
+
+    three big products and no division, and a 1-bit then steps the pair on
+    by U_{m+2} = tau(p) U_{m+1} - p^11 U_m.  The last bit needs only the one
+    of the two doublings that is U_{k+1}.  With a modulus the pair is
+    reduced at every bit; each product keeps the congruence, so any k is
+    cheap.
+    """
+    u, v = 0, 1  # m = 0
+    for bit in bin((k + 1) >> 1)[2:]:
+        u, v = u * (2 * v - tau_p * u), v * v - x_p * u * u
+        if bit == "1":
+            u, v = v, tau_p * v - x_p * u
         if modulus is not None:
-            cur %= modulus
+            u, v = u % modulus, v % modulus
+    term = v * v - x_p * u * u if k % 2 == 0 else u * (2 * v - tau_p * u)
+    return term if modulus is None else term % modulus
 
 
 def tau_prime_power(local: PrimeLocalData, k: int) -> int:
-    """Exact tau(p^k) from the order-2 linear recurrence; 0 <= k <= DEFAULT_MAX_K."""
+    """Exact tau(p^k), 0 <= k <= DEFAULT_MAX_K: one term, by _term's index doubling."""
     if k < 0:
         raise ValueError("k must be >= 0")
     _check_max_k(k)
-    return next(islice(hecke_terms(local.tau_p, local.x_p), k, None))
+    return _term(local.tau_p, local.x_p, k)
 
 
 def tau_of_n(factorization: Factorization, tau_at_primes: Mapping[int, int]) -> int:

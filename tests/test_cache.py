@@ -150,7 +150,7 @@ def read_only_documented(path, data):
         pass
 
 
-@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     st.one_of(
         st.binary(max_size=200),
@@ -162,7 +162,7 @@ def test_fuzz_arbitrary_bytes(tmp_path, data):
     read_only_documented(tmp_path / "fuzz.cache", data)
 
 
-@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(LINE)
 def test_fuzz_one_line_mutated(tmp_path, line):
     # Each line of a valid cache in turn replaced by `line`, preceded by it, or dropped.

@@ -720,7 +720,6 @@ def test_parser_built_once(capsys, monkeypatch):
 PUBLIC_OPTIONS = {
     "cache.table_for": {"cache_path": None},
     "cache.tau_at": {"cache_path": None},
-    "hecke.hecke_terms": {"modulus": None},
     "series.delta_series": {"ceiling": 200_000},
     "spectral.min_gap": {"precision_digits": None},
     "spectral.root_set": {"precision_digits": None},

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauprimes import spectral
+from tauprimes.congruence import _SEEDS
 from tauprimes.errors import BudgetExceededError, DegenerateDiscriminantError, MissingPrimeError
 from tauprimes.hecke import (
     DEFAULT_MAX_K,
     Factorization,
     PrimeLocalData,
+    _term,
     factorize,
     hecke_terms,
     tau_of_n,
@@ -23,6 +25,7 @@ from tauprimes.primality import primes_up_to
 from tauprimes.search import search_prime_tau
 from tauprimes.series import DEFAULT_LIMIT_CEILING, delta_series, tau_values
 from tauprimes.spectral import closed_form_residual, cyclotomic_factor_magnitudes
+from tauprimes.verify import _two_term_powers
 
 TAU2 = -24
 TAU3 = 252
@@ -66,6 +69,37 @@ def test_tau_prime_powers_matches_single_calls():
     local = PrimeLocalData(2, TAU2)
     values = list(islice(hecke_terms(local.tau_p, local.x_p), 13))
     assert values == [tau_prime_power(local, k) for k in range(13)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**60), st.integers(0, 400))
+def test_index_doubling_matches_the_recurrence(tau_p, x_p, k):
+    assert _term(tau_p, x_p, k) == next(islice(hecke_terms(tau_p, x_p), k, None))
+
+
+def test_index_doubling_on_real_pairs(table10k):
+    # 2411 is the one prime below 10^4 other than 2, 3, 5, 7 with p | tau(p).
+    for p in (2, 3, 5, 7, 2411):
+        assert table10k[p] % p == 0
+        terms = islice(hecke_terms(table10k[p], p**11), 401)
+        assert [_term(table10k[p], p**11, k) for k in range(401)] == list(terms)
+
+
+def test_index_doubling_mod_23():
+    # The seeds of each class against the exact recurrence on those seeds,
+    # reduced after the fact.  Past any exact reach, k counts only mod
+    # 23 * 22 * 24: every element order of GL_2(F_23) divides it.
+    for tau_p, x_p in _SEEDS.values():
+        exact = list(islice(hecke_terms(tau_p, x_p), 300))
+        assert [_term(tau_p, x_p, k, 23) for k in range(300)] == [u % 23 for u in exact]
+        k = 10**30 + 7
+        assert _term(tau_p, x_p, k, 23) == _term(tau_p, x_p, k % (23 * 22 * 24), 23)
+
+
+def test_tau_prime_power_at_the_ceiling():
+    # The largest k taken, against verify's own two-term step (about 0.05 s).
+    want = _two_term_powers(2, TAU2, DEFAULT_MAX_K)[-1]
+    assert tau_prime_power(PrimeLocalData(2, TAU2), DEFAULT_MAX_K) == want
 
 
 def test_recurrence_against_table(table10k):
