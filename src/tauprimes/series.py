@@ -28,9 +28,11 @@ of the divisor sums (D. Niebur, Illinois J. Math. 19, 1975),
 
     tau(n) = n^4 sigma(n) - 24 sum_{i=1}^{n-1} (35i^4 - 52i^3 n + 18i^2 n^2) sigma(i) sigma(n-i),
 
-which needs one sieve of sigma up to N = max n (O(N log N) small-integer
-additions) and an O(n) sum per value, so a few values cost far less than
-the table up to N.  Over a whole table the sums would cost O(N^2).
+which needs one sieve of sigma up to N = max n and an O(n) sum per value,
+so a few values cost far less than the table up to N.  Over a whole table
+the sums would cost O(N^2).  The sieve adds divisor pairs of odd m only,
+about (N/8) ln N small-integer additions, and fills each even m = 2^e o
+as sigma(2^e) sigma(o), one slice per power of two.
 """
 
 from __future__ import annotations
@@ -184,11 +186,17 @@ def delta_series(limit: int, *, ceiling: int = DEFAULT_LIMIT_CEILING) -> TauTabl
 def _divisor_sums(limit: int) -> list[int]:
     """[0, sigma(1), ..., sigma(limit)], sigma(m) the sum of the divisors of m."""
     sigma = [0] * (limit + 1)
-    # Each divisor pair (d, m/d) with d <= sqrt(m) once: d^2 adds d, and
-    # m = d*j with j > d adds d + j.
-    for d in range(1, isqrt(limit) + 1):
+    # Odd m: each divisor pair (d, m/d) with d <= sqrt(m) once, both odd:
+    # d^2 adds d, and m = d*j with odd j > d adds d + j (one slice of step 2d).
+    for d in range(1, isqrt(limit) + 1, 2):
         sigma[d * d] += d
-        sigma[d * (d + 1) :: d] = map(add, sigma[d * (d + 1) :: d], range(2 * d + 1, d + limit // d + 1))
+        sigma[d * (d + 2) :: 2 * d] = map(add, sigma[d * (d + 2) :: 2 * d], range(2 * d + 2, d + limit // d + 1, 2))
+    # Even m = a*o, a = 2^e >= 2, o odd: sigma is multiplicative and
+    # sigma(a) = 2a - 1, so each power of two is one slice read off the odd o.
+    a = 2
+    while a <= limit:
+        sigma[a :: 2 * a] = map((2 * a - 1).__mul__, sigma[1 : limit // a + 1 : 2])
+        a *= 2
     return sigma
 
 

@@ -16,6 +16,7 @@ from tauprimes.series import (
     DEFAULT_LIMIT_CEILING,
     TauTable,
     _cube_terms,
+    _divisor_sums,
     _limb_width,
     _sparse_square,
     _square,
@@ -262,12 +263,26 @@ def test_tau_table_validates_tau1():
         TauTable(())
 
 
+def test_divisor_sums_match_divisor_count():
+    # The naive double loop shares no code with the sieve.  Each limit is its
+    # own sieve, so slices that end at a power of two or at an odd square,
+    # and the limits 1, 2 and 3, are all covered.
+    n = 20_000
+    s = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            s[m] += d
+    assert all(_divisor_sums(limit) == s[: limit + 1] for limit in range(1, 1101))
+    assert _divisor_sums(n) == s
+
+
 def test_tau_values_match_series(table100k):
     assert tau_values(range(1, 501)) == {n: table100k[n] for n in range(1, 501)}
     # one sigma sieve per call, so each short sieve is checked too
-    assert all(tau_values([n]) == {n: table100k[n]} for n in range(1, 50))
+    assert all(tau_values([n]) == {n: table100k[n]} for n in range(1, 301))
     assert tau_values([63001]) == {63001: LEHMER_VALUE}
-    near = (99881, 99901, 99923, 99961, 99989, 99991)
+    # 2^16, 2^16 + 1, 315^2 and 316^2, then primes near the table's end
+    near = (65536, 65537, 99225, 99856, 99881, 99901, 99923, 99961, 99989, 99991)
     assert tau_values(near + near[:2]) == {n: table100k[n] for n in near}
     assert tau_values([]) == {}
 
