@@ -170,7 +170,12 @@ def hits_from_dicts(ds: list) -> list[SearchHit]:
         claims[p, k] = verdict
     hits = rebuild_hits(claims, table=table_for(max((p for p, _ in claims), default=1)))
     for d, hit in zip(ds, hits):
-        for name, want in hit_to_dict(hit).items():
+        try:
+            written = hit_to_dict(hit)
+        except ValueError:  # str(hit.value) is past Python's int->str digit limit
+            too_long = f"p={hit.p}, k={hit.k} gives a value of {hit.value.bit_length()} bits, past the int->str limit"
+            raise ValueError(f"hit field 'value' is {d['value']!r}, but {too_long}") from None
+        for name, want in written.items():
             if d[name] != want:
                 raise ValueError(f"hit field {name!r} is {d[name]!r}, but p={hit.p}, k={hit.k} gives {want!r}")
     return hits

@@ -24,9 +24,9 @@ verdict rests on the law; the law only picks which q to try.
 search_prime_tau runs in three phases:
 
  1. the parent runs each row's recurrence and collects every in-cap point
-    as (p, k, row), the row cut after its last in-cap k.  The row holds
-    None for each value over the cap: u_d divides u_n, so the index sieve
-    never reads one for a nonzero in-cap u_n;
+    as (p, k, row), the row a map {j: tau(p^{2j})} of p's in-cap terms.
+    u_d divides u_n, so for a nonzero in-cap u_n the u_d that the index
+    sieve reads is in the map too;
  2. the verdicts.  Only odd values of 2^64 and above pass screen 1, so
     only they can reach a modular power past 64 bits.  When at least two cores are
     usable (os.sched_getaffinity), only the main thread is alive and
@@ -44,7 +44,7 @@ search_prime_tau runs in three phases:
 
 The values, verdicts and hits are the same on either route.  census --from
 rebuilds a report's hits through phases 2-3, in the parent (rebuild_hits),
-from rows that hold only the claimed k and the entries the sieve reads.
+from rows that map only the claimed k and the (d - 1) / 2 the sieve reads.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from enum import Enum
 from functools import cache
 from itertools import islice
 from math import gcd, isqrt, prod
-from typing import BinaryIO, ClassVar, Iterator, Sequence
+from typing import BinaryIO, ClassVar, Iterator
 
 from .congruence import (
     Class23,
@@ -142,15 +142,13 @@ def _least_factor(n: int) -> int:
     return next((d for d in range(3, isqrt(n) + 1, 2) if n % d == 0), n)
 
 
-def index_divisor(row: Sequence[int | None]) -> int:
-    """A proper divisor of |row[-1]| found by the index sieve, or 1.
+def index_divisor(row: dict[int, int] | list[int], k: int) -> int:
+    """A proper divisor of |row[k]| found by the index sieve, or 1.
 
-    row is [tau(p^0), tau(p^2), ..., tau(p^{2k})] of one prime p, that is
-    the Lucas terms u_1, u_3, ..., u_n, n = 2k + 1, of P = tau(p), Q = p^11.
-    Only row[k] and, for composite n, row[(d - 1) / 2] = u_d are read, d the
-    least prime factor of n.
+    row[j] is tau(p^{2j}) of one prime p, the Lucas term u_{2j+1} of
+    P = tau(p), Q = p^11, with n = 2k + 1.  Only row[k] and, for composite
+    n, row[(d - 1) / 2] = u_d are read, d the least prime factor of n.
     """
-    k = len(row) - 1
     n = 2 * k + 1
     value = abs(row[k])
     d = _least_factor(n)
@@ -161,8 +159,8 @@ def index_divisor(row: Sequence[int | None]) -> int:
     return divisor if divisor < value else 1
 
 
-def _verdict_for(row: list[int | None], k: int) -> Verdict:
-    """The verdict on row[k], where row holds tau(p^0), tau(p^2), ... of one p."""
+def _verdict_for(row: dict[int, int], k: int) -> Verdict:
+    """The verdict on row[k], where row maps j to tau(p^{2j}) of one p."""
     value = abs(row[k])
     if value == 0:
         return Verdict.ZERO
@@ -173,14 +171,13 @@ def _verdict_for(row: list[int | None], k: int) -> Verdict:
     if value < 2**64:
         prime = is_probable_prime(value)
     else:
-        prime = not has_small_factor(value) and index_divisor(row[: k + 1]) == 1 and passes_strong_tests(value)
+        prime = not has_small_factor(value) and index_divisor(row, k) == 1 and passes_strong_tests(value)
     return Verdict.PROBABLE_PRIME if prime else Verdict.COMPOSITE
 
 
-# A point is (p, k, row): row is p's list [tau(p^0), tau(p^2), ...], shared
-# by every point of that p and cut after its last k in use; an entry no
-# verdict reads is None.
-_Point = tuple[int, int, list[int | None]]
+# A point is (p, k, row): row maps j to tau(p^{2j}) for the j that p's
+# verdicts read, and is shared by every point of that p.
+_Point = tuple[int, int, dict[int, int]]
 
 
 def _verdict_codes(points: list[_Point], share: list[int]) -> bytes:
@@ -291,11 +288,8 @@ def search_prime_tau(
     low = -value_cap
     for p in primes_up_to(p_max):
         # Each value over the cap is dropped as it comes (module docstring).
-        row = [1, *(v if low <= v <= value_cap else None for v in _terms(p, table[p], k_max))]
-        ks = [k for k in range(1, len(row)) if row[k] is not None]
-        if ks:
-            del row[ks[-1] + 1 :]
-            points += [(p, k, row) for k in ks]
+        row = {k: v for k, v in enumerate(_terms(p, table[p], k_max), 1) if low <= v <= value_cap}
+        points += [(p, k, row) for k in row]
     return _hits(points, _verdicts(points))
 
 
@@ -307,10 +301,7 @@ def rebuild_hits(claims: dict[tuple[int, int], Verdict], *, table: TauTable) -> 
     read: dict[int, set[int]] = {}
     for p, k in claims:
         read.setdefault(p, set()).update((k, (_least_factor(2 * k + 1) - 1) // 2))
-    rows = {
-        p: [1, *(v if j in ks else None for j, v in enumerate(_terms(p, table[p], max(ks)), 1))]
-        for p, ks in read.items()
-    }
+    rows = {p: {j: v for j, v in enumerate(_terms(p, table[p], max(ks)), 1) if j in ks} for p, ks in read.items()}
     verdicts = [
         claim if claim is Verdict.COMPOSITE and rows[p][k] & 1 else _verdict_for(rows[p], k)
         for (p, k), claim in claims.items()

@@ -258,10 +258,10 @@ def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[in
     """|Phi_d(alpha, beta)| for each divisor d > 1 of n, ascending in d, as
     exact ints whose product is |tau(p^{n-1})|; n - 1 <= DEFAULT_MAX_K.
 
-    alpha, beta are the local roots, with Lucas terms u_e = (alpha^e -
-    beta^e) / (alpha - beta) = tau(p^{e-1}) from hecke_terms.  As alpha^n -
-    beta^n is the product of Phi_d(alpha, beta) over d | n, Moebius inversion
-    gives Phi_d(alpha, beta) = prod_{e | d} u_e^{mu(d/e)} for d > 1
+    alpha, beta are the local roots, with Lucas terms u_e = (alpha^e - beta^e)
+    / (alpha - beta) = tau(p^{e-1}) from hecke_terms, held for e | n only.  As
+    alpha^n - beta^n is the product of Phi_d(alpha, beta) over d | n, Moebius
+    inversion gives Phi_d(alpha, beta) = prod_{e | d} u_e^{mu(d/e)} for d > 1
     (Bilu, Hanrot, Voutier, J. reine angew. Math. 539 (2001)), where d/e runs
     over the squarefree products of d's primes, all of them primes of n.
     Each quotient is exact; a nonzero remainder raises AssertionError.
@@ -280,14 +280,15 @@ def cyclotomic_factor_magnitudes(local: PrimeLocalData, n: int) -> list[tuple[in
             f"tau({local.p})^2 = {local.y_p} is {local.y_p // local.x_p}*p^11: alpha/beta is a "
             "root of unity, so some tau(p^k) is 0"
         )
-    u = [0, *islice(hecke_terms(local.tau_p, local.x_p), n)]  # u[e] = tau(p^{e-1})
     factors = factorize(n).factors
     primes = [q for q, _ in factors]
     divisors = [1]
     for q, a in factors:
-        divisors = [d * q**i for d in divisors for i in range(a + 1)]
+        divisors = sorted(d * q**i for d in divisors for i in range(a + 1))
+    terms = hecke_terms(local.tau_p, local.x_p)  # stepped from each divisor e | n to the next
+    u = {e: next(islice(terms, e - last - 1, None)) for last, e in zip([0, *divisors], divisors)}  # tau(p^{e-1})
     out = []
-    for d in sorted(divisors)[1:]:
+    for d in divisors[1:]:
         # (s, mu(s)) for each squarefree s | d, so e = d / s.
         moebius = [(1, 1)]
         for q in primes:

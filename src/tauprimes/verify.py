@@ -375,7 +375,7 @@ def _search_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
                     broken += q != n and q % n not in (1, n - 1)
         if abs(h.value) >= 2**64 and not has_small_factor(h.value):
             sieved += 1
-            divisor = index_divisor(_two_term_powers(h.p, table[h.p], 2 * h.k)[::2])
+            divisor = index_divisor(_two_term_powers(h.p, table[h.p], 2 * h.k)[::2], h.k)
             proven += 1 < divisor < abs(h.value) and h.value % divisor == 0
     yield (
         "index sieve: small factors obey the law, verdicts match is_probable_prime",

@@ -579,6 +579,11 @@ def search_report(pmax, vmax, edit):
             search_report("300", "1e27", lambda hits: hits.append(next(h for h in hits if h["p"] == 251))),
             "hit p=251, k=1 is repeated",
         ),
+        # tau(2^3000) has over 4300 digits, past Python's int->str limit.
+        (
+            {"payload": {"hits": [{**TAU4_HIT, "k": 1500, "exponent": 3000, "value": "1", "residue23": 1}]}},
+            "'value' is '1', but p=2, k=1500 gives a value of",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -601,6 +606,7 @@ def search_report(pmax, vmax, edit):
         "value-forged",
         "odd-verdict-forged",
         "hit-repeated",
+        "value-past-digit-limit",
     ],
 )
 def test_census_names_the_malformed_field(capsys, tmp_path, doc, field):

@@ -94,13 +94,27 @@ def test_index_sieve_verdicts_match_plain_test(table10k):
 def test_index_divisor(table10k):
     local = PrimeLocalData(11, table10k[11])
     row = [tau_prime_power(local, 2 * k) for k in range(5)]
-    assert index_divisor(row) == abs(row[1])  # 2k + 1 = 9: u_3 divides u_9
+    assert index_divisor(row, 4) == abs(row[1])  # 2k + 1 = 9: u_3 divides u_9
     # 2411 divides every tau(2411^m), m >= 1, and 2411 = 1 (mod 5).
     local = PrimeLocalData(2411, table10k[2411])
     row = [tau_prime_power(local, 2 * k) for k in range(3)]
-    assert row[2] % 2411 == 0 and index_divisor(row) % 2411 == 0
-    assert index_divisor([1, LEHMER_VALUE]) == 1  # a prime value has no proper divisor
-    assert index_divisor([1, 1031]) == 1  # nor has a prime q = -1 (mod 3) of the sieve itself
+    assert row[2] % 2411 == 0 and index_divisor(row, 2) % 2411 == 0
+    assert index_divisor([1, LEHMER_VALUE], 1) == 1  # a prime value has no proper divisor
+    assert index_divisor([1, 1031], 1) == 1  # nor has a prime q = -1 (mod 3) of the sieve itself
+
+
+def test_index_divisor_reads_only_two_entries(table2k):
+    # A dict raises KeyError on any read but row[k] and row[(d - 1) / 2].
+    for p in (2, 3, 17, 251):
+        row = list(islice(hecke_terms(table2k[p], p**11), 0, 121, 2))
+        for k in range(1, 61):
+            n = 2 * k + 1
+            d = next(d for d in range(3, n + 1, 2) if n % d == 0)
+            if d < n:
+                j = (d - 1) // 2
+                assert index_divisor({k: row[k], j: row[j]}, k) == index_divisor(row, k), (p, k)
+    row = list(islice(hecke_terms(table2k[251], 251**11), 0, 3, 2))
+    assert index_divisor({1: row[1]}, 1) == index_divisor(row, 1) == 1  # n = 3 is prime: Lehmer's value
 
 
 def test_rebuild_keeps_the_index_divisor(table2k):

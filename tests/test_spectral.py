@@ -1,6 +1,9 @@
 """Even-index polynomials, their roots, and the local spectral identities."""
 
+import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import gcd, prod
 
 import mpmath
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from tauprimes import spectral
 from tauprimes.errors import BudgetExceededError, DegenerateDiscriminantError
-from tauprimes.hecke import PrimeLocalData, tau_prime_power
+from tauprimes.hecke import PrimeLocalData, hecke_terms, tau_prime_power
 from tauprimes.spectral import (
     DEFAULT_MAX_K,
     EvenIndexPoly,
@@ -236,6 +239,21 @@ def test_cyclotomic_factors_are_exact(table10k):
             for d, f in factors:
                 if sympy.isprime(d):
                     assert f == abs(u[d]), (p, n, d)
+
+
+def test_cyclotomic_factors_hold_only_divisor_terms():
+    # The 2001 terms tau(2^0), ..., tau(2^2000) take about 1.5 MB together;
+    # the factors of n = 2001 = 3 * 23 * 29 read u_e for its 8 divisors e only.
+    whole = sum(map(sys.getsizeof, islice(hecke_terms(-24, 2**11), 2001)))
+    tracemalloc.start()
+    try:
+        factors = cyclotomic_factor_magnitudes(PrimeLocalData(2, -24), 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prod(f for _, f in factors) == abs(tau_prime_power(PrimeLocalData(2, -24), 2000))
+    assert whole > 1_400_000
+    assert peak < whole / 20
 
 
 def trig_factor(ctx, local, d):
