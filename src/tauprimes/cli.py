@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 domain error (bad values, ceiling refusals,
-unreadable caches), 2 usage error (unknown flags or malformed arguments).
+unreadable caches, running out of memory), 2 usage error (unknown flags or
+malformed arguments).
 """
 
 from __future__ import annotations
@@ -292,6 +293,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # A backstop: the frames that held the request are unwound by now.
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -16,15 +16,21 @@ of the local roots over divisors d > 1 of n; cyclotomic_factor_magnitudes
 returns them as exact ints, each a Moebius quotient of the Lucas terms
 tau(p^{e-1}), e | d, with no real arithmetic.
 
-root_set takes one cosine and builds the rest by Chebyshev's recurrence in
-fixed point; each root is bit-identical to the per-root cosine _alpha,
-which it calls itself for the few roots near a rounding midpoint.
+_fixed_trig is the one kernel on raw libmp values.  From one cosine-sine
+pair of pi/(2k+1), at 64 + 2 bitlen(2k+1) bits past the working precision,
+it steps the cosines or sines of pi j/(2k+1) by Chebyshev's recurrence in
+fixed point and rounds each as mpmath would, leaving to mpmath the few that
+lie near a rounding midpoint.  root_set takes all k roots from it,
+approximation_quality the at most four around the ratio's continuous index,
+and min_gap its two sines; each result is bit-identical to the mpmath
+expression it replaces.
 
 The local roots themselves are r e^{+-it}, with r = p^{11/2} and
 cos t = tau(p) / (2r); closed_form_residual checks the exact tau(p^k) from
 hecke against the trigonometric closed form r^k sin((k+1)t) / sin(t).
 
-root_set, min_gap and approximation_quality work at max(50, 4k) digits,
+root_set, min_gap and approximation_quality work at max(50, 4k) digits
+(approximation_quality finds its window at far fewer bits),
 closed_form_residual at CLOSED_FORM_DIGITS, all on a private mpmath context
 per thread.  Each real returned is a plain mpmath.mpf of the same bits, so
 arithmetic on it runs at the caller's precision; mpmath.mp's is never read
@@ -49,9 +55,9 @@ from .hecke import DEFAULT_MAX_K, PrimeLocalData, _check_max_k, factorize, hecke
 # Working precision of the trigonometric closed forms of the local roots.
 CLOSED_FORM_DIGITS = 60
 
-# root_set's fixed-point cosines carry this many bits beyond the context
-# precision (plus 2 bitlen(2k+1)), and defer to mpmath.cos for any root whose
-# value lies within 2^-_MIDPOINT_MARGIN_BITS ulp of a rounding midpoint.
+# _fixed_trig's fixed-point values carry this many bits beyond the context
+# precision (plus 2 bitlen(2k+1)), and defer to mpmath's cosine or sine for
+# any value within 2^-_MIDPOINT_MARGIN_BITS ulp of a rounding midpoint.
 _GUARD_BITS = 64
 _MIDPOINT_MARGIN_BITS = 6
 
@@ -172,49 +178,88 @@ def _local_angle(ctx: mpmath.MPContext, local: PrimeLocalData) -> tuple[mpmath.m
     return r, ctx.acos(ctx.mpf(local.tau_p) / (2 * r))
 
 
+def _fixed_trig(n: int, first: int, last: int, prec: int, sine: bool = False):
+    """(j, cos x_j), or (j, sin x_j) with sine, for j = first..last, where
+    1 <= first and last < n/2, and x_j = mpf_div(mpf_mul_int(pi, j), n) is
+    pi j / n as mpmath forms ctx.pi * j / n at prec bits.  Each value is a
+    raw libmp value rounded to nearest at prec bits, or None where it lies
+    within 2^-_MIDPOINT_MARGIN_BITS ulp of a rounding midpoint: there
+    mpmath's own cosine or sine, whose error could decide the last bit, must
+    give it.
+
+    This is the one kernel on raw libmp values.  One mpf_cos_sin call gives
+    z = e^(i pi/n) at W = prec + _GUARD_BITS + 2 bitlen(n) bits; z^(first-1)
+    by squaring (nothing for first = 1) and one more factor z start
+    Chebyshev's recurrence T_{j+1} = 2 cos(pi/n) T_j - T_{j-1}, which the
+    cosines and the sines of pi j/n both obey, in fixed point.  Powering and
+    recurrence together err by less than about n^2 units of 2^-W, and every
+    value is at least sin(pi/(2n)) > 1/n, so that is below 2^(bitlen(n) - 63)
+    ulp at prec bits.  The value at x_j, not at pi j/n, gets the first-order
+    correction (x_j - pi j/n) T'(pi j/n); as |x_j - pi j/n| < 2^(2-prec), a
+    float slope suffices and the dropped square is below 2^(4-2 prec).
+    """
+    wide = prec + _GUARD_BITS + 2 * n.bit_length()
+    pi_wide = libmp.pi_fixed(wide)
+    step = tuple(libmp.to_fixed(v, wide) for v in libmp.mpf_cos_sin(libmp.from_man_exp(pi_wide // n, -wide), wide))
+
+    def times(u, v):
+        # (cos, sin) pairs multiplied as the complex numbers cos + i sin.
+        return (u[0] * v[0] - u[1] * v[1]) >> wide, (u[0] * v[1] + u[1] * v[0]) >> wide
+
+    power, base, e = (1 << wide, 0), step, first - 1
+    while e:
+        if e & 1:
+            power = times(power, base)
+        e >>= 1
+        if e:
+            base = times(base, base)
+    # T_{first-1} and T_first scaled by 2^W: item 0 of a pair is the cosine, item 1 the sine.
+    prev, cur = power[sine], times(power, step)[sine]
+    rnd = libmp.round_nearest
+    pi_p, n_p = libmp.mpf_pi(prec, rnd), libmp.from_int(n)
+    for j in range(first, last + 1):
+        _, man, exp, _ = libmp.mpf_div(libmp.mpf_mul_int(pi_p, j, prec, rnd), n_p, prec, rnd)
+        delta = (man << (exp + wide)) - pi_wide * j // n
+        t = math.pi * j / n
+        value = cur + int(delta * (math.cos(t) if sine else -math.sin(t)))
+        shift = value.bit_length() - prec  # one ulp at prec bits is 2^shift
+        rest = value & ((1 << shift) - 1)
+        if abs(rest - (1 << (shift - 1))) < 1 << (shift - _MIDPOINT_MARGIN_BITS):
+            yield j, None
+        else:
+            yield j, libmp.from_man_exp(value, -wide, prec, rnd)
+        prev, cur = cur, ((step[0] * cur) >> (wide - 1)) - prev
+
+
+def _alphas(ctx: mpmath.MPContext, k: int, first: int, last: int):
+    """(j, alpha_{j,k}) for j = first..last, 1 <= first <= last <= k, as raw
+    libmp values with the bits of _alpha(ctx, j, k): 4 c^2 for c from
+    _fixed_trig, squared with c**2's rounding and multiplied by 4 exactly,
+    or _alpha itself where c is None."""
+    prec = ctx.prec
+    for j, c in _fixed_trig(2 * k + 1, first, last, prec):
+        if c is None:
+            yield j, _alpha(ctx, j, k)._mpf_
+        else:
+            yield j, libmp.mpf_shift(libmp.mpf_mul(c, c, prec, libmp.round_nearest), 2)
+
+
 def root_set(k: int, precision_digits: int | None = None) -> RootSet:
     """alpha_{j,k} = 4 cos^2(pi j/(2k+1)), j = 1..k, strictly decreasing.
 
     Each root is bit-identical to _alpha(j, k) at the same precision, but
-    the k cosines come from one: with n = 2k+1 and p the context precision
-    in bits, Chebyshev's recurrence C_{j+1} = 2 cos(pi/n) C_j - C_{j-1}
-    runs in fixed point at W = p + _GUARD_BITS + 2 bitlen(n) bits, where
-    its error stays below about k n / pi units of 2^-W.  _alpha takes the
-    cosine of x_j = ctx.pi * j / n, rounded to p bits, not of pi j/n, so
-    C_j gets the first-order correction -(x_j - pi j/n) sin(pi j/n); as
-    |x_j - pi j/n| < 2^(2-p), a float sine suffices and the dropped square
-    is below 2^(4-2p).  The result, rounded to nearest at p bits, is what
-    mpmath.cos returns unless it lies within 2^-_MIDPOINT_MARGIN_BITS ulp of
-    a rounding midpoint, where mpmath.cos's own error could decide the last
-    bit; such roots are taken from _alpha itself.
+    the k cosines come from one: _alphas steps _fixed_trig's Chebyshev
+    recurrence from cos(pi/n), n = 2k+1, and takes the few roots whose
+    cosine lies near a rounding midpoint from _alpha itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_max_k(k)
     digits = _working_digits(k, precision_digits)
-    n = 2 * k + 1
     ctx = _THREAD.ctx
     with ctx.workdps(digits):
-        prec = ctx.prec
-        wide = prec + _GUARD_BITS + 2 * n.bit_length()
-        pi_wide = libmp.pi_fixed(wide)
-        cos1 = libmp.to_fixed(libmp.mpf_cos(libmp.from_man_exp(pi_wide // n, -wide), wide), wide)
-        alphas = []
-        prev, cur = 1 << wide, cos1  # C_0, C_1 scaled by 2^wide
-        for j in range(1, k + 1):
-            _, man, exp, _ = (ctx.pi * j / n)._mpf_  # _alpha's argument x_j
-            delta = (man << (exp + wide)) - pi_wide * j // n
-            value = cur - int(delta * math.sin(math.pi * j / n))
-            shift = value.bit_length() - prec  # one ulp at p bits is 2^shift
-            rest = value & ((1 << shift) - 1)
-            if abs(rest - (1 << (shift - 1))) < 1 << (shift - _MIDPOINT_MARGIN_BITS):
-                alpha = _alpha(ctx, j, k)
-            else:
-                c = ctx.make_mpf(libmp.from_man_exp(value, -wide, prec, libmp.round_nearest))
-                alpha = 4 * c**2
-            alphas.append(_plain(alpha))
-            prev, cur = cur, ((cos1 * cur) >> (wide - 1)) - prev
-    return RootSet(k, tuple(alphas), digits)
+        alphas = tuple(mpmath.mp.make_mpf(alpha) for _, alpha in _alphas(ctx, k, 1, k))
+    return RootSet(k, alphas, digits)
 
 
 def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:
@@ -223,14 +268,23 @@ def min_gap(k: int, precision_digits: int | None = None) -> mpmath.mpf:
     With n = 2k+1 the gap alpha_{j-1} - alpha_j is 4 sin(pi (2j-1)/n) sin(pi/n).
     Sine is concave on (0, pi), so over j = 2..k it is least at an end, and
     sin(pi (2k-1)/n) = sin(2 pi/n) <= sin(3 pi/n) because 5 pi/n <= pi.
+
+    The value is 4 sin(a) sin(2a) for a = ctx.pi / n, bit for bit: 2a is
+    _fixed_trig's x_2, as doubling commutes with rounding, so both sines
+    come from its one cosine-sine call, each taken from ctx.sin where it
+    lies near a rounding midpoint.
     """
     if k < 2:
         raise ValueError("k must be >= 2 for a gap to exist")
     _check_max_k(k)
+    n = 2 * k + 1
     ctx = _THREAD.ctx
     with ctx.workdps(_working_digits(k, precision_digits)):
-        a = ctx.pi / (2 * k + 1)
-        return _plain(4 * ctx.sin(a) * ctx.sin(2 * a))
+        a = ctx.pi / n
+        sin_a, sin_2a = (
+            ctx.sin(j * a) if s is None else ctx.make_mpf(s) for j, s in _fixed_trig(n, 1, 2, ctx.prec, sine=True)
+        )
+        return _plain(4 * sin_a * sin_2a)
 
 
 def closed_form_residual(local: PrimeLocalData, k: int) -> float:
@@ -326,25 +380,37 @@ def approximation_quality(local: PrimeLocalData, k: int) -> ApproximationQuality
     to 1 when r >= 4 (tau(p) past Deligne's bound).  Every alpha_j with
     j <= floor(j_c) is >= r and every later one is <= r, so the nearest root
     is alpha at floor(j_c) or floor(j_c) + 1, taken within 1..k.  Only the
-    window floor(j_c) - 1 .. floor(j_c) + 2 is evaluated; its extra index on
-    each side absorbs rounding in acos, and roots outside it are further from
-    r by at least the least root gap.  Each alpha_j is the same number
-    root_set gives, so j* (ties to the smaller j), the distance and the
-    threshold are those of a scan over the whole root set.
+    window floor(j_c) - 1 .. floor(j_c) + 2 is evaluated, by _alphas; roots
+    outside it are further from r by at least the least root gap.  Each
+    alpha_j is the same number root_set gives, so j* (ties to the smaller j),
+    the distance and the threshold are those of a scan over the whole root
+    set.
+
+    j_c only picks the window, so it is computed at P = bitlen(p^11) +
+    bitlen(2k+1) + 16 bits, not at the 4k digits of the roots.  Below
+    Deligne's bound 4 p^11 - tau(p)^2 >= 1, so 1 - (sqrt(r)/2)^2 >= 1/(4 p^11):
+    sqrt(r)/2, off by under 2^(1-P) at P bits, stays clear of the clamp at 1,
+    and acos' is at most about 2 p^(11/2) between the two.  So j_c is off by
+    under (2k+1)/pi * 2 p^(11/2) * 2^(1-P) < 2^-16, plus the roundings of
+    acos, pi and the product, far under 1/4: floor(j_c) moves by at most one,
+    and the window's extra index on each side still holds both candidates.
+    At r >= 4 the rounded sqrt(r)/2 is still >= 1, as 4 is exact at any
+    precision.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_max_k(k)
-    digits = _working_digits(k, None)
+    n = 2 * k + 1
     approx = Fraction(local.y_p, local.x_p)
     height = max(abs(approx.numerator), approx.denominator)
     ctx = _THREAD.ctx
-    with ctx.workdps(digits):
+    with ctx.workprec(local.x_p.bit_length() + n.bit_length() + 16):
+        half_root = ctx.sqrt(ctx.mpf(approx.numerator) / approx.denominator) / 2
+        floor = int(ctx.floor(n / ctx.pi * ctx.acos(min(half_root, 1))))
+    with ctx.workdps(_working_digits(k, None)):
         ratio = ctx.mpf(approx.numerator) / approx.denominator
-        j_c = (2 * k + 1) / ctx.pi * ctx.acos(min(ctx.sqrt(ratio) / 2, 1))
-        floor = int(ctx.floor(j_c))
-        window = range(max(1, floor - 1), min(k, floor + 2) + 1)
-        distances = {j: abs(_alpha(ctx, j, k) - ratio) for j in window}
+        window = _alphas(ctx, k, max(1, floor - 1), min(k, floor + 2))
+        distances = {j: abs(ctx.make_mpf(alpha) - ratio) for j, alpha in window}
         j_star = min(distances, key=distances.__getitem__)
         distance = distances[j_star]
         threshold = 1 / (64 * ctx.power(height, ctx.mpf(5) / 2))

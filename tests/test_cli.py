@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tauprimes
-from tauprimes import bounds
+from tauprimes import bounds, cli, spectral
 from tauprimes.cache import tau_at, write_cache
 from tauprimes.cli import build_parser, main, parse_big_int
 from tauprimes.errors import CacheTruncatedError
@@ -279,6 +279,16 @@ def test_single_values_without_series(capsys, monkeypatch):
     ):
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, want + "\n"), argv
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # A request that exhausts memory ends like any refusal: exit 1, one line.
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    for module in (spectral, cli):
+        monkeypatch.setattr(module, "root_set", exhaust)
+    assert run(capsys, "poly", "--k", "5", "--roots") == (1, "", "error: out of memory\n")
 
 
 def test_tau_domain_errors(capsys):
@@ -815,9 +825,37 @@ def test_exact_modules_import_no_mpmath():
     assert offenders == []
 
 
+# The functions of spectral.py that may hold raw libmp values: the one
+# fixed-point cosine kernel and the roots it squares.
+LIBMP_KERNEL = {"_fixed_trig", "_alphas"}
+
+
+def libmp_uses(tree):
+    """(line, enclosing top-level def or class, else None) of each use of
+    libmp in a module, and of each import of it but a top-level `from mpmath
+    import libmp`."""
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if getattr(node, "id", None) == "libmp" or getattr(node, "attr", None) == "libmp":
+                yield node.lineno, where
+                continue
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                allowed = node is top and node.module == "mpmath"
+                names = [
+                    f"{node.module}.{a.name}" for a in node.names if not (allowed and a.name == "libmp" and not a.asname)
+                ]
+            else:
+                continue
+            if any(name.startswith("mpmath.libmp") for name in names):
+                yield node.lineno, where
+
+
 def test_one_raw_libmp_kernel():
-    # spectral.root_set's fixed-point cosines are the one kernel on raw libmp
-    # values; everything else computes in mpf, so the operators round for it.
+    # spectral's fixed-point cosines are the one kernel on raw libmp values;
+    # everything else computes in mpf, so the operators round for it.
     src = Path(tauprimes.__file__).parent
     pattern = re.compile(r"mpmath\.libmp|import .*\blibmp\b")
     offenders = [
@@ -828,6 +866,20 @@ def test_one_raw_libmp_kernel():
         if pattern.search(line)
     ]
     assert offenders == []
+    # Inside spectral.py, only the kernel's functions touch libmp, and each does.
+    uses = list(libmp_uses(ast.parse((src / "spectral.py").read_text())))
+    assert [f"spectral.py:{line} {where}" for line, where in uses if where not in LIBMP_KERNEL] == []
+    assert {where for _, where in uses} == LIBMP_KERNEL
+    # The walk sees each of those forms.
+    code = (
+        "from mpmath import libmp\n"
+        "from mpmath.libmp import mpf_mul\n"
+        "import mpmath.libmp as lm\n"
+        "X = libmp.fone\n"
+        "def f():\n    return mpmath.libmp.fzero\n"
+        "def g():\n    from mpmath import libmp\n"
+    )
+    assert list(libmp_uses(ast.parse(code))) == [(2, None), (3, None), (4, None), (6, "f"), (8, "g")]
 
 
 # Each subcommand's flags and positionals ("" is the top level), so a new one is a deliberate edit.

@@ -1,5 +1,6 @@
 """Even-index polynomials, their roots, and the local spectral identities."""
 
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -216,6 +217,47 @@ def test_min_gap_is_least_root_gap():
         min_gap(5, 10)
 
 
+def count_kernel_fallbacks(monkeypatch):
+    """Route spectral._fixed_trig through a recorder; returns, per value it
+    yields, whether it was left to mpmath (None)."""
+    fallbacks = []
+    kernel = spectral._fixed_trig
+
+    def recorded(*args, **kwargs):
+        for j, value in kernel(*args, **kwargs):
+            fallbacks.append(value is None)
+            yield j, value
+
+    monkeypatch.setattr(spectral, "_fixed_trig", recorded)
+    return fallbacks
+
+
+def assert_min_gaps_are_sines(ks, digits_list):
+    ctx = mpmath.MPContext()
+    for k in ks:
+        for digits in digits_list:
+            ctx.dps = max(50, 4 * k) if digits is None else digits
+            a = ctx.pi / (2 * k + 1)
+            assert min_gap(k, digits)._mpf_ == (4 * ctx.sin(a) * ctx.sin(2 * a))._mpf_, (k, digits)
+
+
+def test_min_gap_is_bit_identical_to_sines(monkeypatch):
+    # The kernel's sines and the two mpmath sines give the same bits, and
+    # both branches ran: most values from the kernel, some near a midpoint.
+    fallbacks = count_kernel_fallbacks(monkeypatch)
+    assert_min_gaps_are_sines(range(2, 301), (None, 20, 60, 200))
+    assert len(fallbacks) == 2 * 299 * 4
+    assert 0 < sum(fallbacks) < len(fallbacks) // 10
+
+
+def test_min_gap_fallback_branch(monkeypatch):
+    # A margin of a whole ulp sends every sine to mpmath.
+    fallbacks = count_kernel_fallbacks(monkeypatch)
+    monkeypatch.setattr(spectral, "_MIDPOINT_MARGIN_BITS", 0)
+    assert_min_gaps_are_sines(range(2, 301), (None, 20, 60, 200))
+    assert all(fallbacks) and len(fallbacks) == 2 * 299 * 4
+
+
 def test_cyclotomic_magnitudes(table10k):
     local = PrimeLocalData(2, table10k[2])
     mags = cyclotomic_factor_magnitudes(local, 6)
@@ -347,3 +389,30 @@ def test_approximation_quality_outside_deligne():
         q = approximation_quality(local, k)
         assert q.j_star == want, (tau_p, k)
         assert tuple(q) == root_scan(local, root_set(k)), (tau_p, k)
+
+
+def near_root_locals(p, k):
+    """Synthetic (p, tau) with tau^2 the square nearest alpha_{j,k} p^11, for
+    a few j; returns them with their continuous index j_c at 80 digits."""
+    x = p**11
+    out = []
+    with mpmath.workdps(80):
+        for j in sorted({1, 2, (k + 1) // 2, k - 1, k} & set(range(1, k + 1))):
+            tau = int(mpmath.nint(mpmath.sqrt(4 * mpmath.cos(mpmath.pi * j / (2 * k + 1)) ** 2 * x)))
+            j_c = (2 * k + 1) / mpmath.pi * mpmath.acos(mpmath.sqrt(mpmath.mpf(tau * tau) / x) / 2)
+            out.append((PrimeLocalData(p, tau), j, j_c))
+    return out
+
+
+def test_approximation_quality_low_precision_window():
+    # j_c is computed at bitlen(p^11) + bitlen(2k+1) + 16 bits: the ratio just
+    # below Deligne's bound, j_c within 1e-20 of an integer, and tau(p) = 0,
+    # +-1 still give a root scan's answer, bit for bit.
+    for k in (*range(1, 41), *range(41, 300, 13), 300):
+        rs = root_set(k)
+        cases = [PrimeLocalData(p, tau) for p in (2, 251, 999983) for tau in (math.isqrt(4 * p**11 - 1), 0, 1, -1)]
+        for local, j, j_c in near_root_locals(999983, k):
+            assert abs(j_c - j) < mpmath.mpf(10) ** -20, (k, j)
+            cases.append(local)
+        for local in cases:
+            assert tuple(approximation_quality(local, k)) == root_scan(local, rs), (local.p, local.tau_p, k)
