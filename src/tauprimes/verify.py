@@ -12,6 +12,7 @@ what they yield into CheckResults.
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -32,10 +33,11 @@ from .congruence import (
     parity_law,
     tau_mod23,
 )
-from .hecke import PrimeLocalData, factorize, tau_of_n
+from .hecke import PrimeLocalData, factorize, tau_of_n, tau_prime_power
 from .primality import has_small_factor, is_probable_prime, primes_up_to
+from .reports import hit_to_dict, hits_from_dicts, to_json
 from .search import Verdict, census_by_residue, index_divisor, search_prime_tau, smallest_prime_tau
-from .series import TauTable, delta_series, tau_values
+from .series import DEFAULT_LIMIT_CEILING, TauTable, delta_series, tau_values
 from .spectral import (
     approximation_quality,
     closed_form_residual,
@@ -51,6 +53,7 @@ from .spectral import (
 EXPANSION_HEAD = (1, -24, 252, -1472, 4830)
 LEHMER_N = 63001
 LEHMER_VALUE = -80561663527802406257321747
+NIEBUR_PRIMES = (199999, 199967, 131071, 65537, 2999)
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,13 @@ class Verifier:
         self._table: TauTable | None = None
 
     def table(self, limit: int) -> TauTable:
-        # Only a named cache stands in for delta_series, never $TAUPRIMES_CACHE_DIR.
         if self._table is None or self._table.limit < limit:
-            self._table = table_for(limit, self.cache_path) if self.cache_path else delta_series(limit)
+            self._table = self.unshared_table(limit)
         return self._table.truncated(limit) if self._table.limit > limit else self._table
+
+    def unshared_table(self, limit: int) -> TauTable:
+        # Kept by no check; a named cache, never $TAUPRIMES_CACHE_DIR, stands in for delta_series.
+        return table_for(limit, self.cache_path) if self.cache_path else delta_series(limit)
 
     def run(self, suite: str) -> list[CheckResult]:
         if suite != "all" and suite not in SUITES:
@@ -129,16 +135,25 @@ def _series_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
 
     got = table[LEHMER_N]
     route2 = tau_of_n(factorize(LEHMER_N), tau_values([251]))
+    route3 = tau_prime_power(PrimeLocalData(251, tau_values([251])[251]), 2)
     yield (
         "Lehmer value tau(63001)",
-        got == LEHMER_VALUE and route2 == LEHMER_VALUE,
-        f"series {got}, multiplicative route {route2}",
+        got == LEHMER_VALUE == route2 == route3,
+        f"series {got}, multiplicative route {route2}, prime-power route {route3}",
     )
 
     below = smallest_prime_tau(LEHMER_N - 1, table=table)
     at = smallest_prime_tau(LEHMER_N, table=table)
     ok = below is None and at == (LEHMER_N, LEHMER_VALUE)
     yield "first prime tau value appears at n = 63001", ok, f"below: {below}, at: {at}"
+
+    ceiling = verifier.unshared_table(DEFAULT_LIMIT_CEILING)
+    agree = sum(v == ceiling[p] for p, v in tau_values(NIEBUR_PRIMES).items())
+    yield (
+        "Niebur's formula meets the table at the 2*10^5 ceiling",
+        agree == len(NIEBUR_PRIMES),
+        f"tau(p) agrees at {agree}/{len(NIEBUR_PRIMES)} of p = {', '.join(map(str, NIEBUR_PRIMES))}",
+    )
 
 
 def _congruence_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
@@ -392,6 +407,25 @@ def _search_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
         "tau(4) and tau(9) surface as composite hits",
         ok,
         ", ".join(f"tau({p}^{2 * k}) = {v} {verdict.value}" for (p, k), (v, verdict) in vals.items()),
+    )
+
+    # census --from's route through JSON; a copy with Lehmer's last digit changed must be refused.
+    table = verifier.table(300)
+    hits = search_prime_tau(300, 1, 10**27, table=table)
+    written = json.loads(to_json({"hits": [hit_to_dict(h) for h in hits]}))["hits"]
+    rebuilt = hits_from_dicts(written, table=table)
+    census = census_by_residue(rebuilt, 10**27)
+    forged = [dict(d, value=str(LEHMER_VALUE - 1)) if d["value"] == str(LEHMER_VALUE) else d for d in written]
+    try:
+        refusal = f"accepted as {len(hits_from_dicts(forged, table=table))} hits"
+    except ValueError as exc:
+        refusal = "refused naming 'value'" if "'value'" in str(exc) else f"refused: {exc}"
+    same = sum(a == b for a, b in zip(rebuilt, hits))
+    yield (
+        "search report round trip: census of p <= 300, k = 1, cap 10^27",
+        same == len(hits) == len(rebuilt) and census.total == census.counts[1] == 1 and "'value'" in refusal,
+        f"{same}/{len(hits)} hits rebuilt alike, census total {census.total}, {census.counts[1]} in class 1; "
+        f"the forged Lehmer value is {refusal}",
     )
 
 

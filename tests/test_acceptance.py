@@ -29,18 +29,24 @@ LEHMER_VALUE = -80561663527802406257321747
 # SHA-256 of `verify --suite all`'s stdout, recorded before the suites became
 # generators; re-recorded when the density check began to measure the 9/11 on
 # the primes to 10^6, the one line that changed, and again when the cyclotomic
-# check began to compare exact products and each factor's trigonometric form.
-VERIFY_ALL_SHA256 = "8b536fe3ed909366033326fb61eebfd18ca3b1e985279f6b75094170b8e18547"
+# check began to compare exact products and each factor's trigonometric form;
+# and again when CI's shell checks moved into verify: the Lehmer line gained its
+# prime-power route, the Niebur and report round-trip lines were added, and the
+# closing count went from 24/24 to 26/26.
+VERIFY_ALL_SHA256 = "3b7b8eef7994b0d8017fd5c94c377d2dda0e5fdc89bd92199d664695d494d4a0"
 
 # criterion -> {verify check name: a piece of its detail, counts included}
 CLAIMS = {
     2: {
-        "Lehmer value tau(63001)": f"series {LEHMER_VALUE}, multiplicative route {LEHMER_VALUE}",
+        "Lehmer value tau(63001)":
+            f"series {LEHMER_VALUE}, multiplicative route {LEHMER_VALUE}, prime-power route {LEHMER_VALUE}",
         "first prime tau value appears at n = 63001": f"below: None, at: ({LEHMER_N}, {LEHMER_VALUE})",
     },
     3: {
         "expansion head tau(1..5)": "got (1, -24, 252, -1472, 4830)",
         "naive Euler-product oracle, n <= 500": "500/500 terms of delta_series(500) and 500/500",
+        "Niebur's formula meets the table at the 2*10^5 ceiling":
+            "tau(p) agrees at 5/5 of p = 199999, 199967, 131071, 65537, 2999",
     },
     4: {
         "Hecke recurrence + multiplicativity, n <= 10^4":
@@ -72,6 +78,9 @@ CLAIMS = {
         "tau(4) and tau(9) surface as composite hits":
             "tau(2^2) = -1472 Composite, tau(3^2) = -113643 Composite",
         "allowed residue sets and the 18 excluded classes": "allowed(k=1)=[0, 1, 3, 22], |excluded|=18",
+        "search report round trip: census of p <= 300, k = 1, cap 10^27":
+            "62/62 hits rebuilt alike, census total 1, 1 in class 1; "
+            "the forged Lehmer value is refused naming 'value'",
     },
     12: {
         "formulas agree with independent re-evaluation to 30 digits": "60/60 comparisons",
@@ -153,8 +162,8 @@ def test_criterion_02_lehmer_value(capsys, cache_file_100k, verified):
 
 def test_criterion_03_brute_force_oracle(verified):
     elapsed = verified["series"][1]
-    report_claims(3, "delta_series(500) matches naive product expansion", verified, elapsed < 60,
-                  f"{elapsed:.1f}s")
+    report_claims(3, "delta_series(500) matches naive expansion; Niebur's formula matches the table at 2*10^5",
+                  verified, elapsed < 60, f"{elapsed:.1f}s")
 
 
 def test_criterion_04_hecke_consistency(verified):
@@ -205,8 +214,8 @@ def test_criterion_11_census_properties(verified):
     prime_hits = ast.literal_eval(grid.detail.split(" = ", 1)[1])
     # An odd prime tau(p^{2k}) forces 2k + 1 prime; sympy is the oracle here.
     ok = len(prime_hits) == 7 and all(sympy.isprime(2 * k + 1) for _, k in prime_hits) and elapsed < 900
-    report_claims(11, "every probable-prime hit in the p<=2000, k<=6 grid passes admissibility", verified,
-                  ok, f"{len(prime_hits)} prime hits, {elapsed:.1f}s")
+    report_claims(11, "every probable-prime hit in the p<=2000, k<=6 grid passes admissibility; reports round-trip",
+                  verified, ok, f"{len(prime_hits)} prime hits, {elapsed:.1f}s")
 
 
 def test_criterion_12_bounds_arithmetic(verified):
