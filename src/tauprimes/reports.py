@@ -24,7 +24,7 @@ from .congruence import Class23
 from .hecke import DEFAULT_MAX_K
 from .primality import is_probable_prime
 from .search import CensusReport, SearchHit, Verdict, rebuild_hits
-from .series import DEFAULT_LIMIT_CEILING, TauTable
+from .series import DEFAULT_LIMIT_CEILING
 
 REAL_DIGITS = 30
 
@@ -148,12 +148,11 @@ def hit_to_dict(hit: SearchHit) -> dict[str, Any]:
     }
 
 
-def hits_from_dicts(ds: list, *, table: TauTable | None = None) -> list[SearchHit]:
-    """The hits that hit_to_dict wrote as ds, rebuilt by the search (rebuild_hits)
-    on `table` (covering every p) or table_for's.  A field that is missing, not of
-    the JSON type hit_to_dict writes or unlike hit_to_dict of the rebuilt hit, a k
-    outside 1..DEFAULT_MAX_K, a p not a prime <= DEFAULT_LIMIT_CEILING or a
-    repeated (p, k) raises ValueError naming it."""
+def hits_from_dicts(ds: list) -> list[SearchHit]:
+    """The hits that hit_to_dict wrote as ds, rebuilt by the search (rebuild_hits).
+    A field that is missing, not of the JSON type hit_to_dict writes or unlike
+    hit_to_dict of the rebuilt hit, a k outside 1..DEFAULT_MAX_K, a p not a prime
+    <= DEFAULT_LIMIT_CEILING or a repeated (p, k) raises ValueError naming it."""
     claims: dict[tuple[int, int], Verdict] = {}
     for d in ds:
         _require_fields(d, "hit", p=int, k=int, exponent=int, value=str, residue23=int, class23=dict, verdict=str)
@@ -169,7 +168,7 @@ def hits_from_dicts(ds: list, *, table: TauTable | None = None) -> list[SearchHi
         if (p, k) in claims:
             raise ValueError(f"hit p={p}, k={k} is repeated")
         claims[p, k] = verdict
-    hits = rebuild_hits(claims, table=table or table_for(max((p for p, _ in claims), default=1)))
+    hits = rebuild_hits(claims, table=table_for(max((p for p, _ in claims), default=1)))
     for d, hit in zip(ds, hits):
         try:
             written = hit_to_dict(hit)

@@ -5,7 +5,7 @@ import pytest
 
 from tauprimes import bounds
 from tauprimes.cache import write_cache
-from tauprimes.series import delta_series
+from tauprimes.series import DEFAULT_LIMIT_CEILING, delta_series
 
 
 @pytest.fixture(autouse=True)
@@ -40,10 +40,15 @@ def fixed_contexts_kept():
 
 
 @pytest.fixture(scope="session")
-def table100k():
-    # ~0.5 s once per session (17/31-digit limbs); everything below 10^5
+def table200k():
+    # ~1.1 s once per session (17/31-digit limbs); every smaller table
     # truncates from this.
-    return delta_series(100_000)
+    return delta_series(DEFAULT_LIMIT_CEILING)
+
+
+@pytest.fixture(scope="session")
+def table100k(table200k):
+    return table200k.truncated(100_000)
 
 
 @pytest.fixture(scope="session")
@@ -60,4 +65,12 @@ def table2k(table100k):
 def cache_file_100k(table100k, tmp_path_factory):
     path = tmp_path_factory.mktemp("cache") / "taucache.txt"
     write_cache(table100k, path)
+    return path
+
+
+@pytest.fixture(scope="session")
+def cache_file_200k(table200k, tmp_path_factory):
+    # Reaches the 2*10^5 ceiling, so `verify` reads every table from it.
+    path = tmp_path_factory.mktemp("cache") / "taucache.txt"
+    write_cache(table200k, path)
     return path

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauprimes.cache import write_cache
 from tauprimes.cli import main
 from tauprimes.reports import hit_to_dict, hits_from_dicts, to_json
 from tauprimes.search import Verdict, census_by_residue, search_prime_tau
-from tauprimes.series import TauTable
 
 # Quotes, backslashes, control characters, DEL and non-ASCII (BMP and astral)
 # are drawn often, next to arbitrary text.
@@ -207,13 +205,3 @@ def test_hits_from_dicts_rebuilds_each_hit(report300, claim):
         else:
             with pytest.raises(ValueError, match=f"^hit field 'verdict' is '{claim}', but p={d['p']}, k=1 gives "):
                 hits_from_dicts(forged)
-
-
-def test_hits_from_dicts_rebuilds_on_the_given_table(report300, table2k, tmp_path, monkeypatch):
-    # A parseable default cache with a wrong tau(2): without a table the
-    # rebuild reads it and refuses tau(2^2); given one, it reads no cache.
-    write_cache(TauTable((1, -25) + table2k.coeffs[2:300]), tmp_path / "taucache.txt")
-    monkeypatch.setenv("TAUPRIMES_CACHE_DIR", str(tmp_path))
-    with pytest.raises(ValueError, match="^hit field 'value' is '-1472', but p=2, k=1 gives "):
-        hits_from_dicts(report300)
-    assert [hit_to_dict(h) for h in hits_from_dicts(report300, table=table2k.truncated(300))] == report300

@@ -1,26 +1,11 @@
 """Planted faults: each fails exactly the `verify` check that guards against it,
 and a named cache stays the table of every suite that `verify --suite all` runs."""
 
-import pytest
-
-from tauprimes import hecke, reports, verify
+from tauprimes import hecke, verify
 from tauprimes.cache import write_cache
 from tauprimes.cli import main
-from tauprimes.series import DEFAULT_LIMIT_CEILING, TauTable, delta_series
+from tauprimes.series import TauTable
 from tauprimes.verify import Verifier
-
-
-@pytest.fixture(scope="module")
-def table200k():
-    return delta_series(DEFAULT_LIMIT_CEILING)
-
-
-@pytest.fixture(scope="module")
-def cache_file_200k(table200k, tmp_path_factory):
-    # Covers the Niebur check too, so no run below recomputes the series.
-    path = tmp_path_factory.mktemp("cache") / "taucache.txt"
-    write_cache(table200k, path)
-    return path
 
 
 def failing(cache_path):
@@ -42,14 +27,6 @@ def test_prime_power_one_step_short_fails_the_lehmer_check(cache_file_200k, monk
     assert failing(cache_file_200k) == {"Lehmer value tau(63001)"}
 
 
-def test_rebuild_blind_to_value_fails_the_round_trip_check(cache_file_200k, monkeypatch):
-    # hits_from_dicts compares each field hit_to_dict writes; without `value`
-    # the forged Lehmer value is accepted.
-    written = reports.hit_to_dict
-    monkeypatch.setattr(reports, "hit_to_dict", lambda hit: {k: v for k, v in written(hit).items() if k != "value"})
-    assert failing(cache_file_200k) == {"search report round trip: census of p <= 300, k = 1, cap 10^27"}
-
-
 def test_named_cache_short_of_the_ceiling_stays_in_use(table100k, tmp_path, capsys):
     # A 10^5-record cache with tau(2) off by 2 fails the checks it failed
     # before the Niebur check needed a 2*10^5 table; one that dropped the
@@ -59,7 +36,7 @@ def test_named_cache_short_of_the_ceiling_stays_in_use(table100k, tmp_path, caps
     code = main(["verify", "--suite", "all", "--cache", str(path)])
     out = capsys.readouterr().out
     failed = [line for line in out.splitlines() if line.startswith("[FAIL] ")]
-    assert code == 1 and len(failed) == 5 and out.endswith("21/26 checks passed\n")
+    assert code == 1 and len(failed) == 5 and out.endswith("20/25 checks passed\n")
     for name in (
         "series: naive Euler-product oracle, n <= 500",
         "series: Hecke recurrence + multiplicativity, n <= 10^4",
