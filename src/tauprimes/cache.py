@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from bisect import bisect_right
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -39,37 +40,39 @@ def default_cache_path() -> Path | None:
 
 
 def table_for(limit: int, cache_path: str | Path | None = None) -> TauTable:
-    """tau(1..limit) from the first `limit` records of a cache, or computed.
+    """tau(1..limit): every record a cache holds, and delta_series for the rest.
 
     The cache is `cache_path` when given, else default_cache_path().  A
     `cache_path` that does not exist raises FileNotFoundError; a missing
-    default cache, or one holding fewer than `limit` records, falls back to
-    delta_series; a bad header or needed record raises its CacheError.
+    default cache holds no records; a bad header or record raises its CacheError.
     """
     # delta_series refuses a limit below 1 before any file is read.
-    values = _cached_records(range(1, limit + 1), cache_path) if limit >= 1 else None
-    return delta_series(limit) if values is None else TauTable(tuple(values))
+    values = _cached_records(range(1, limit + 1), cache_path) if limit >= 1 else []
+    if limit < 1 or len(values) < limit:
+        values += delta_series(limit).coeffs[len(values) :]
+    return TauTable(tuple(values))
 
 
 def tau_at(ns: Iterable[int], cache_path: str | Path | None = None) -> dict[int, int]:
     """{n: tau(n)} for each n in ns, from the records of a cache, or computed.
 
     The cache is found as table_for finds it.  Only record 1 and the records
-    of ns are parsed and checked; only when the cache promises fewer than
-    max(ns) records, or there is none, are the values computed, by tau_values.
+    of ns are parsed and checked; tau_values computes just the n it lacks, if any.
     """
     ns = set(ns)
     want = sorted(ns | {1})
-    values = _cached_records(want, cache_path)
-    return tau_values(ns) if values is None else {n: v for n, v in zip(want, values) if n in ns}
+    values = dict(zip(want, _cached_records(want, cache_path)))
+    lacking = ns - values.keys()
+    values |= tau_values(lacking) if lacking else {}
+    return {n: values[n] for n in sorted(ns)}
 
 
-def _cached_records(want: Sequence[int], cache_path: str | Path | None) -> list[int] | None:
+def _cached_records(want: Sequence[int], cache_path: str | Path | None) -> list[int]:
     # A named cache is always read, so a wrong path is an error; only the default may be absent.
     if cache_path:
         return _read_records(cache_path, want)
     path = default_cache_path()
-    return _read_records(path, want) if path and path.exists() else None
+    return _read_records(path, want) if path and path.exists() else []
 
 
 def dump_cache(table: TauTable, stream: TextIO) -> None:
@@ -103,12 +106,11 @@ def read_cache(path: str | Path) -> TauTable:
     return TauTable(tuple(_read_records(path)))
 
 
-def _read_records(path: str | Path, want: Sequence[int] | None = None) -> list[int] | None:
-    """tau(n) for each n in `want` (ascending, starting at 1), or for every record.
+def _read_records(path: str | Path, want: Sequence[int] | None = None) -> list[int]:
+    """tau(n) for each n in `want` (ascending, starting at 1) up to the promised count, or for every record.
 
     Record n sits on line n + 2, so only the lines of `want` are parsed and
-    checked.  None if the file promises fewer than max(want) records; with
-    no `want`, content after the last promised record is an error.
+    checked; with no `want`, content after the last promised record is an error.
     """
     try:
         # newline="" keeps CR bytes visible so non-LF line endings are rejected
@@ -144,8 +146,8 @@ def _read_records(path: str | Path, want: Sequence[int] | None = None) -> list[i
         if len(lines) > 2 + count:
             raise CacheMalformedError("content after the last promised record", line=2 + count + 1)
         want = range(1, count + 1)
-    elif count < want[-1]:
-        return None
+    else:
+        want = want[: bisect_right(want, count)]
 
     values = []
     for n in want:

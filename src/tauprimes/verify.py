@@ -92,13 +92,10 @@ class Verifier:
         self._table: TauTable | None = None
 
     def table(self, limit: int) -> TauTable:
+        """tau(1..limit) from one kept table, grown from a named cache (never $TAUPRIMES_CACHE_DIR)."""
         if self._table is None or self._table.limit < limit:
-            self._table = self.unshared_table(limit)
+            self._table = table_for(limit, self.cache_path) if self.cache_path else delta_series(limit)
         return self._table.truncated(limit) if self._table.limit > limit else self._table
-
-    def unshared_table(self, limit: int) -> TauTable:
-        # Kept by no check; a named cache, never $TAUPRIMES_CACHE_DIR, stands in for delta_series.
-        return table_for(limit, self.cache_path) if self.cache_path else delta_series(limit)
 
     def run(self, suite: str) -> list[CheckResult]:
         if suite != "all" and suite not in SUITES:
@@ -108,6 +105,8 @@ class Verifier:
 
 
 def _series_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
+    # The ceiling table first: every later table is a slice of it.
+    ceiling = verifier.table(DEFAULT_LIMIT_CEILING)
     head = tuple(delta_series(5).coeffs)
     yield "expansion head tau(1..5)", head == EXPANSION_HEAD, f"got {head}"
 
@@ -146,7 +145,6 @@ def _series_checks(verifier: Verifier) -> Iterator[tuple[str, bool, str]]:
     ok = below is None and at == (LEHMER_N, LEHMER_VALUE)
     yield "first prime tau value appears at n = 63001", ok, f"below: {below}, at: {at}"
 
-    ceiling = verifier.unshared_table(DEFAULT_LIMIT_CEILING)
     agree = sum(v == ceiling[p] for p, v in tau_values(NIEBUR_PRIMES).items())
     yield (
         "Niebur's formula meets the table at the 2*10^5 ceiling",

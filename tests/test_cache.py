@@ -114,8 +114,12 @@ def test_table_for_parses_only_needed_records(tmp_path):
     assert info.value.line == 5
     with pytest.raises(CacheMalformedError):
         read_cache(path)
-    # a cache promising fewer records than requested is not consulted
-    assert table_for(4, path) == delta_series(4)
+    # a cache promising fewer records than requested supplies every one it holds
+    with pytest.raises(CacheMalformedError) as info:
+        table_for(4, path)
+    assert info.value.line == 5
+    write_text(path, GOOD.replace("2 -24", "2 -22"))
+    assert table_for(4, path).coeffs == (1, -22, 252, -1472)
     write_text(path, "TAUCACHE 9\n3\n")
     with pytest.raises(CacheVersionError):
         table_for(1, path)

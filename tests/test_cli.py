@@ -649,8 +649,8 @@ def test_verify_corrupt_cache(capsys, tmp_path):
 
 def test_verifier_ignores_env_cache(capsys, tmp_path, monkeypatch):
     # A parseable cache with a wrong tau(2): verify checks it only when named,
-    # and then fails.  It covers the 10^4 records the congruence suite reads;
-    # a shorter cache would be passed over for delta_series.
+    # and then fails.  Its records stand in for delta_series's wherever it
+    # holds them, so any length that covers tau(2) would fail the same way.
     path = tmp_path / "taucache.txt"
     wrong = TauTable((1, -25) + delta_series(10_000).coeffs[2:])
     write_cache(wrong, path)

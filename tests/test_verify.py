@@ -1,7 +1,11 @@
 """Planted faults: each fails exactly the `verify` check that guards against it,
 and a named cache stays the table of every suite that `verify --suite all` runs."""
 
-from tauprimes import hecke, verify
+import sys
+
+import pytest
+
+from tauprimes import hecke, series, verify
 from tauprimes.cache import write_cache
 from tauprimes.cli import main
 from tauprimes.series import TauTable
@@ -27,12 +31,13 @@ def test_prime_power_one_step_short_fails_the_lehmer_check(cache_file_200k, monk
     assert failing(cache_file_200k) == {"Lehmer value tau(63001)"}
 
 
-def test_named_cache_short_of_the_ceiling_stays_in_use(table100k, tmp_path, capsys):
-    # A 10^5-record cache with tau(2) off by 2 fails the checks it failed
-    # before the Niebur check needed a 2*10^5 table; one that dropped the
-    # cache for that table would let the later suites pass.
+@pytest.mark.parametrize("length", [2000, 100_000])
+def test_named_cache_short_of_the_ceiling_stays_in_use(length, table100k, tmp_path, capsys):
+    # A cache with tau(2) off by 2 fails the same five checks at any length:
+    # it supplies the records it holds and delta_series only the rest, so no
+    # suite drops it for a longer table.
     path = tmp_path / "taucache.txt"
-    write_cache(TauTable((1, -22) + table100k.coeffs[2:]), path)
+    write_cache(TauTable((1, -22) + table100k.coeffs[2:length]), path)
     code = main(["verify", "--suite", "all", "--cache", str(path)])
     out = capsys.readouterr().out
     failed = [line for line in out.splitlines() if line.startswith("[FAIL] ")]
@@ -45,3 +50,20 @@ def test_named_cache_short_of_the_ceiling_stays_in_use(table100k, tmp_path, caps
         "search: tau(4) and tau(9) surface as composite hits",
     ):
         assert any(line.startswith(f"[FAIL] {name} (") for line in failed), name
+
+
+def test_series_suite_builds_the_series_once(monkeypatch):
+    # The ceiling table comes first, so every later table is a slice of it;
+    # only the expansion head and the 500-term oracle compute their own.
+    limits = []
+    compute = series.delta_series
+
+    def counted(limit, **kwargs):
+        limits.append(limit)
+        return compute(limit, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tauprimes") and hasattr(module, "delta_series"):
+            monkeypatch.setattr(module, "delta_series", counted)
+    Verifier().run("series")
+    assert [limit for limit in limits if limit > 500] == [200_000]
