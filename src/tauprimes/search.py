@@ -27,18 +27,20 @@ search_prime_tau runs in three phases:
     as (p, k, row), the row a map {j: tau(p^{2j})} of p's in-cap terms.
     u_d divides u_n, so for a nonzero in-cap u_n the u_d that the index
     sieve reads is in the map too;
- 2. the verdicts.  Only odd values of 2^64 and above pass screen 1, so
+ 2. the verdicts, one byte per point in an anonymous shared map made
+    before any fork.  Only odd values of 2^64 and above pass screen 1, so
     only they can reach a modular power past 64 bits.  When at least two cores are
     usable (os.sched_getaffinity), only the main thread is alive and
     those values weigh enough (_FORK_MIN_WORK), the parent builds the
     sieve products they need, sorts them by bit length and deals them in
     turn to itself and to one forked child per extra core.  A child
-    writes one byte per point to a pipe and leaves by os._exit; the
-    parent reaps every child.  A child that exits non-zero or short makes
-    the search raise RuntimeError; if the parent's own share raises, it
-    kills and reaps its children first; a share whose pipe or fork fails
-    is done by the parent.  Otherwise, and on platforms without
-    sched_getaffinity, the parent decides every point itself;
+    writes its share into the map and leaves by os._exit; the parent
+    reaps every child, then reads the map.  A child that exits non-zero,
+    or a point no process wrote, makes the search raise RuntimeError; if
+    the parent's own share raises, it kills and reaps its children first;
+    a share whose fork fails is done by the parent.  Otherwise, and on
+    platforms without sched_getaffinity, the parent writes every point
+    into the map itself;
  3. the parent builds the hits in (p, k) order and checks each
     probable-prime hit mod 23.
 
@@ -49,6 +51,7 @@ from rows that map only the claimed k and the (d - 1) / 2 the sieve reads.
 
 from __future__ import annotations
 
+import mmap
 import os
 import signal
 import threading
@@ -58,7 +61,7 @@ from enum import Enum
 from functools import cache
 from itertools import islice
 from math import gcd, isqrt, prod
-from typing import BinaryIO, ClassVar, Iterator
+from typing import ClassVar, Iterator
 
 from .congruence import (
     Class23,
@@ -88,14 +91,16 @@ class Verdict(Enum):
 
 
 _VERDICTS = tuple(Verdict)
-_CODES = {verdict: code for code, verdict in enumerate(_VERDICTS)}
+_CODES = {verdict: code for code, verdict in enumerate(_VERDICTS, 1)}
 
 # Split the verdicts only when the odd values of 2^64 and above, the only
 # ones that can reach a modular power past 64 bits, weigh this much: the sum of their
 # squared bit lengths.  On a 2-core host their verdicts take 0.4-0.8 ns per
-# unit, about 8 ms here, and a fork round trip (fork, a one-byte pipe
-# write, read and reap) takes 1.6-2.4 ms, so a split saves at least the
-# round trip; the 6-7 ms batches below it ran as fast or slower forked.
+# unit, about 8 ms here, of which a two-way split saves about 4 ms; a fork
+# round trip (map one byte, fork, the child writes it, reap) takes 2.5 ms
+# (median of 60 runs, quartiles 2.4-2.6 ms, Python 3.11.7, in a process
+# holding a 5000-term table).  The 6-7 ms batches below it ran as fast or
+# slower forked.
 _FORK_MIN_WORK = 15_000_000
 
 
@@ -180,11 +185,6 @@ def _verdict_for(row: dict[int, int], k: int) -> Verdict:
 _Point = tuple[int, int, dict[int, int]]
 
 
-def _verdict_codes(points: list[_Point], share: list[int]) -> bytes:
-    """One byte per index in share: the position of its verdict in _VERDICTS."""
-    return bytes(_CODES[_verdict_for(points[i][2], points[i][1])] for i in share)
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -192,27 +192,11 @@ def _usable_cores() -> int:
         return 1
 
 
-def _fork_share(points: list[_Point], share: list[int]) -> tuple[int, BinaryIO]:
-    """Fork a child that writes the verdict codes of share to a pipe; (pid, read end)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            view = memoryview(_verdict_codes(points, share))
-            while view:
-                view = view[os.write(write_fd, view) :]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
+def _decide(points: list[_Point], share: list[int], codes: mmap.mmap) -> None:
+    """Write 1 + the position of its verdict in _VERDICTS at each index in share."""
+    for i in share:
+        _, k, row = points[i]
+        codes[i] = _CODES[_verdict_for(row, k)]
 
 
 def _verdicts(points: list[_Point]) -> list[Verdict]:
@@ -221,50 +205,58 @@ def _verdicts(points: list[_Point]) -> list[Verdict]:
     Only odd values of 2^64 and above can reach a modular power past 64
     bits, so only they are dealt out: sorted by bit length and dealt in turn, the shares
     carry near-equal work.  One child per share but the last, which the
-    parent keeps with every cheap point.
+    parent keeps with every cheap point.  Every process writes its share's
+    verdicts into one map shared across the fork (_decide), so a 0 left in
+    it is a verdict nobody wrote.
     """
+    if not points:
+        return []
     bits = [row[k].bit_length() if row[k] & 1 else 0 for _, k, row in points]
     heavy = sorted((i for i, b in enumerate(bits) if b > 64), key=bits.__getitem__, reverse=True)
     workers = min(_usable_cores(), len(heavy))
     if workers < 2 or threading.active_count() > 1 or sum(bits[i] ** 2 for i in heavy) < _FORK_MIN_WORK:
-        return [_verdict_for(row, k) for _, k, row in points]
-    # Children inherit the sieve products rather than each building its own.
-    for n in {2 * points[i][1] + 1 for i in heavy}:
-        if is_probable_prime(n):
-            _sieve_product(n)
+        workers = 1
+    else:
+        # Children inherit the sieve products rather than each building its own.
+        for n in {2 * points[i][1] + 1 for i in heavy}:
+            if is_probable_prime(n):
+                _sieve_product(n)
     shares = [heavy[j::workers] for j in range(workers)]
     own = [i for i, b in enumerate(bits) if b <= 64] + shares.pop()
-    codes = bytearray(len(points))
-    children: list[tuple[int, BinaryIO, list[int]]] = []  # forked, not yet reaped
-    try:
-        for share in shares:
-            try:
-                children.append((*_fork_share(points, share), share))
-            except OSError:
-                own += share  # no pipe or no fork: the parent does this share too
-        for i, code in zip(own, _verdict_codes(points, own)):
-            codes[i] = code
-        while children:
-            pid, pipe, share = children[0]
-            with pipe:
-                child_codes = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if status != 0 or len(child_codes) != len(share):
-                raise RuntimeError(
-                    f"verdict worker {pid} exited with status {status} "
-                    f"after {len(child_codes)} of {len(share)} verdicts"
-                )
-            for i, code in zip(share, child_codes):
-                codes[i] = code
-    except BaseException:
-        for pid, pipe, _ in children:
-            pipe.close()
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    return [_VERDICTS[code] for code in codes]
+    with mmap.mmap(-1, len(points)) as codes:
+        children: list[int] = []  # forked, not yet reaped
+        try:
+            for share in shares:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    own += share  # no fork: the parent does this share too
+                    continue
+                if pid == 0:
+                    status = 1
+                    try:
+                        _decide(points, share, codes)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children.append(pid)
+            _decide(points, own, codes)
+            while children:
+                pid = children[0]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if status != 0:
+                    raise RuntimeError(f"verdict worker {pid} exited with status {status}")
+        except BaseException:
+            for pid in children:
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            raise
+        written = codes[:]
+    if 0 in written:
+        raise RuntimeError(f"{written.count(0)} of {len(points)} verdicts were never written")
+    return [_VERDICTS[code - 1] for code in written]
 
 
 def search_prime_tau(

@@ -19,6 +19,32 @@ def no_child_left():
     pytest.fail(f"the test left a child process unreaped (waitpid: pid {pid}, status {status})")
 
 
+def _open_descriptors():
+    # {fd: target}; the descriptor that lists the directory is closed by the
+    # time its link is read, so it drops out.
+    targets = {}
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            targets[int(name)] = os.readlink(f"/proc/self/fd/{name}")
+        except OSError:
+            pass
+    return targets
+
+
+@pytest.fixture(autouse=True)
+def no_descriptor_left():
+    # Every descriptor a test opens, a pipe or a cache file, must be closed
+    # by the time it ends, on its error paths too.
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = _open_descriptors()
+    yield
+    left = {fd: target for fd, target in _open_descriptors().items() if before.get(fd) != target}
+    if left:
+        pytest.fail(f"the test left descriptors open: {left}")
+
+
 @pytest.fixture(autouse=True)
 def no_precision_left():
     # mpmath's precision is process-wide: a test that leaves it changed runs

@@ -309,8 +309,33 @@ def test_failing_child_raises(table10k, monkeypatch):
         return verdict_for(row, k)
 
     monkeypatch.setattr(search, "_verdict_for", child_fails)
-    with pytest.raises(RuntimeError, match=r"verdict worker \d+ exited with status 1 after 0 of \d+ verdicts"):
+    with pytest.raises(RuntimeError, match=r"verdict worker \d+ exited with status 1$"):
         search_prime_tau(700, 8, 10**45, table=table10k)
+
+
+def test_child_that_exits_0_undecided_raises(table10k, monkeypatch):
+    # A child that leaves with status 0 before writing its share must not
+    # pass off the unwritten slots as verdicts.
+    _force_split(monkeypatch, 2)
+    parent = os.getpid()
+    verdict_for = search._verdict_for
+
+    def child_quits(row, k):
+        if os.getpid() != parent:
+            os._exit(0)
+        return verdict_for(row, k)
+
+    monkeypatch.setattr(search, "_verdict_for", child_quits)
+    with pytest.raises(RuntimeError):
+        search_prime_tau(700, 8, 10**45, table=table10k)
+
+
+def test_empty_grid_forks_nothing(table2k, monkeypatch, fork_calls):
+    _force_split(monkeypatch, 2)
+    maps = []
+    monkeypatch.setattr(search.mmap, "mmap", lambda *args: maps.append(args))
+    assert search_prime_tau(97, 5, 0, table=table2k) == []
+    assert fork_calls == [] and maps == []
 
 
 def test_failing_parent_kills_and_reaps_children(table10k, monkeypatch, fork_calls):
