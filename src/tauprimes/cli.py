@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 domain error (bad values, ceiling refusals,
-unreadable caches, running out of memory), 2 usage error (unknown flags or
-malformed arguments).
+unreadable caches, running out of memory) or a closed stdout (no message),
+2 usage error (unknown flags or malformed arguments), 130 interrupted
+(SIGINT).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -290,7 +292,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left (`| head`): no message, and fd 1 goes to devnull so
+        # the interpreter's last flush cannot fail again (the "Note on
+        # SIGPIPE" in the signal module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -298,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         # A backstop: the frames that held the request are unwound by now.
         print("error: out of memory", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ recurrence tau(p^m) = tau(p) tau(p^{m-1}) - p^11 tau(p^{m-2}), so
 tau(p^k) = U_{k+1} is a term of the Lucas sequence U of x^2 - tau(p) x +
 p^11 (U_0 = 0, U_1 = 1).  hecke_terms steps the recurrence, for callers
 that read consecutive terms; tau_prime_power reaches a single term by
-doubling the index.  Everything here is exact big-integer arithmetic; the
-real-number view of the roots is in spectral.
+doubling the index (_lucas_pair).  That one ladder, reduced mod n, also
+gives primality's strong Lucas test its U_d.  Everything here is exact
+big-integer arithmetic; the real-number view of the roots is in spectral.
 """
 
 from __future__ import annotations
@@ -77,28 +78,32 @@ def hecke_terms(tau_p: int, x_p: int) -> Iterator[int]:
         prev, cur = cur, tau_p * cur - x_p * prev
 
 
-def _term(tau_p: int, x_p: int, k: int, modulus: int | None = None) -> int:
-    """tau(p^k) = U_{k+1}, from tau(p) and x_p = p^11, in O(log k) products.
+def _lucas_pair(p: int, q: int, m: int, modulus: int | None = None) -> tuple[int, int]:
+    """(U_m, U_{m+1}) of x^2 - p x + q (U_0 = 0, U_1 = 1), m >= 0, in O(log m) products.
 
-    The pair (U_m, U_{m+1}) = (tau(p^{m-1}), tau(p^m)) starts at m = 0 and
-    reads the bits of k + 1 from the top.  Each bit doubles m by
+    The pair (U_j, U_{j+1}) starts at j = 0 and reads the bits of m from
+    the top.  Each bit doubles j by
 
-        U_{2m}   = U_m (2 U_{m+1} - tau(p) U_m),
-        U_{2m+1} = U_{m+1}^2 - p^11 U_m^2,
+        U_{2j}   = U_j (2 U_{j+1} - p U_j),
+        U_{2j+1} = U_{j+1}^2 - q U_j^2,
 
     three big products and no division, and a 1-bit then steps the pair on
-    by U_{m+2} = tau(p) U_{m+1} - p^11 U_m.  The last bit needs only the one
-    of the two doublings that is U_{k+1}.  With a modulus the pair is
-    reduced at every bit; each product keeps the congruence, so any k is
-    cheap.
+    by U_{j+2} = p U_{j+1} - q U_j.  With a modulus the pair is reduced at
+    every bit; each product keeps the congruence, so any m is cheap.
     """
-    u, v = 0, 1  # m = 0
-    for bit in bin((k + 1) >> 1)[2:]:
-        u, v = u * (2 * v - tau_p * u), v * v - x_p * u * u
+    u, v = 0, 1  # j = 0
+    for bit in bin(m)[2:]:
+        u, v = u * (2 * v - p * u), v * v - q * u * u
         if bit == "1":
-            u, v = v, tau_p * v - x_p * u
+            u, v = v, p * v - q * u
         if modulus is not None:
             u, v = u % modulus, v % modulus
+    return u, v
+
+
+def _term(tau_p: int, x_p: int, k: int, modulus: int | None = None) -> int:
+    """tau(p^k) = U_{k+1}: the pair at m = (k + 1) // 2, then the one doubling that is U_{k+1}."""
+    u, v = _lucas_pair(tau_p, x_p, (k + 1) // 2, modulus)
     term = v * v - x_p * u * u if k % 2 == 0 else u * (2 * v - tau_p * u)
     return term if modulus is None else term % modulus
 

@@ -9,7 +9,8 @@ is_probable_prime decides |n|:
  3. otherwise a Baillie-PSW-style combination: strong base-2 test, perfect
     square rejection, then a strong Lucas test with Selfridge's parameter
     choice (first D in 5, -7, 9, -11, ... with Jacobi(D, n) = -1, P = 1,
-    Q = (1 - D)/4).
+    Q = (1 - D)/4).  Its U_d, n + 1 = d 2^s with d odd, comes from the
+    index doubling that computes tau(p^k) (hecke._lucas_pair) mod n.
 
 passes_strong_tests is steps 2 and 3 alone, for callers that screen with
 has_small_factor and a sieve of their own first.  No randomness anywhere,
@@ -19,6 +20,8 @@ so verdicts are reproducible run to run.
 from __future__ import annotations
 
 from math import gcd, isqrt, prod
+
+from .hecke import _lucas_pair
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -85,22 +88,11 @@ def _strong_lucas(n: int) -> bool:
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     d_odd = (n + 1) >> s
 
-    # Binary ladder for U_m, V_m, Q^m with P = 1.
-    u, v, qk = 1, 1, q % n
-    for bit in bin(d_odd)[3:]:
-        u = u * v % n
-        v = (v * v - 2 * qk) % n
-        qk = qk * qk % n
-        if bit == "1":
-            # index m -> m+1: U' = (U + V)/2, V' = (D U + V)/2 (halving mod odd n)
-            u2 = u + v
-            if u2 % 2:
-                u2 += n
-            v2 = d_param * u + v
-            if v2 % 2:
-                v2 += n
-            u, v = (u2 // 2) % n, (v2 // 2) % n
-            qk = qk * q % n
+    # U_d by hecke's index doubling mod n; V_d = 2 U_{d+1} - P U_d with P = 1,
+    # and V_d^2 - D U_d^2 = 4 Q^d, where 1/4 = ((n + 1) / 2)^2 mod odd n.
+    u, u1 = _lucas_pair(1, q, d_odd, n)
+    v = (2 * u1 - u) % n
+    qk = (v * v - d_param * u * u) * ((n + 1) // 2) ** 2 % n
     if u == 0 or v == 0:
         return True
     for _ in range(s - 1):

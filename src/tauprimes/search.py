@@ -37,7 +37,8 @@ search_prime_tau runs in three phases:
     writes its share into the map and leaves by os._exit; the parent
     reaps every child, then reads the map.  A child that exits non-zero,
     or a point no process wrote, makes the search raise RuntimeError; if
-    the parent's own share raises, it kills and reaps its children first;
+    the parent's own share raises, or SIGINT interrupts it (children ignore
+    SIGINT), it kills and reaps its children first;
     a share whose fork fails is done by the parent.  Otherwise, and on
     platforms without sched_getaffinity, the parent writes every point
     into the map itself;
@@ -235,6 +236,8 @@ def _verdicts(points: list[_Point]) -> list[Verdict]:
                 if pid == 0:
                     status = 1
                     try:
+                        # An interrupt is the parent's to answer: it kills this child.
+                        signal.signal(signal.SIGINT, signal.SIG_IGN)
                         _decide(points, share, codes)
                         status = 0
                     finally:

@@ -2,13 +2,16 @@
 
 import argparse
 import ast
+import contextlib
 import hashlib
 import inspect
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -909,10 +912,48 @@ def test_cli_options_are_pinned():
     assert {"": options(parser), **{name: options(p) for name, p in sub.choices.items()}} == CLI_OPTIONS
 
 
-def test_python_dash_m():
+@contextlib.contextmanager
+def _cli_process(*argv, **popen_args):
+    """`python -m tauprimes argv` from this checkout, with stdout and stderr
+    piped; killed on the way out if it is still running."""
     src = str(Path(tauprimes.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "tauprimes", "tau", "1"], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+    argv = [sys.executable, "-m", "tauprimes", *argv]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **popen_args) as proc:
+        try:
+            yield proc
+        finally:
+            proc.kill()
+
+
+def test_python_dash_m():
+    with _cli_process("tau", "1") as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (0, b"1\n", b"")
+
+
+def test_closed_stdout_exits_quietly():
+    # `tauprimes series --limit 20000 | head -2`: about 0.5 MB, far past a
+    # pipe's buffer, so the writes after the reader leaves meet a closed pipe.
+    with _cli_process("series", "--limit", "20000") as proc:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert head == [b"TAUCACHE 1\n", b"20000\n"]
+    assert (status, err) == (1, b"")
+
+
+def test_interrupt_is_one_error_line():
+    # SIGINT to the whole process group, as a terminal's ^C sends it, 2 s
+    # into a search that runs for about 9 s on a 2-core host and forks its
+    # verdict workers after about 1 s: the parent and the workers all get it.
+    argv = ("search", "--pmax", "300", "--kmax", "200", "--vmax", "1e1000")
+    with _cli_process(*argv, start_new_session=True) as proc:
+        time.sleep(2)
+        assert proc.poll() is None
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (130, b"", b"error: interrupted\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -77,6 +77,19 @@ def test_index_doubling_matches_the_recurrence(tau_p, x_p, k):
     assert _term(tau_p, x_p, k) == next(islice(hecke_terms(tau_p, x_p), k, None))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-(10**40), 10**40),
+    st.integers(-(10**60), 10**60),
+    st.integers(0, 300),
+    st.integers(2, 10**40),
+)
+def test_index_doubling_with_any_modulus(p, q, k, modulus):
+    # The reduction at every bit keeps the congruence for any P, Q (negative
+    # Q too) and modulus, not only for tau_mod23's 23.
+    assert _term(p, q, k, modulus) == _term(p, q, k) % modulus
+
+
 def test_index_doubling_on_real_pairs(table10k):
     # 2411 is the one prime below 10^4 other than 2, 3, 5, 7 with p | tau(p).
     for p in (2, 3, 5, 7, 2411):

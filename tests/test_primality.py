@@ -1,8 +1,11 @@
 """Compositeness testing against an independent oracle and curated hard cases."""
 
+from math import isqrt
+
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from tauprimes.primality import (
     _jacobi,
@@ -48,6 +51,10 @@ def test_curated_composites():
     for n in SPSP2 + SLPSP + CARMICHAELS:
         assert not is_probable_prime(n), n
         assert not sympy.isprime(n), n
+    # is_probable_prime stops each SLPSP entry at the small-prime gcd, so
+    # only a direct call shows that the Lucas leg lets them through.
+    for n in SLPSP:
+        assert _strong_lucas(n), n
 
 
 def test_strong_lucas_catches_mersenne_composite():
@@ -58,6 +65,30 @@ def test_strong_lucas_catches_mersenne_composite():
     assert _strong_probable_prime(m67, 2)
     assert not _strong_lucas(m67)
     assert not is_probable_prime(m67)
+
+
+def test_strong_lucas_against_sympy():
+    # Every odd non-square in range, strong Lucas pseudoprimes and numbers
+    # with small factors included: the Lucas leg alone, with Selfridge's
+    # parameters, against sympy's.
+    for n in range(5, 30_000, 2):
+        if isqrt(n) ** 2 != n:
+            assert _strong_lucas(n) == is_strong_lucas_prp(n), n
+
+
+@st.composite
+def odd_non_squares_above_word_size(draw):
+    """An odd non-square of 65 to 700 bits, half the time the next prime up."""
+    n = draw(st.integers(min_value=2**64, max_value=2**700)) | 1
+    if draw(st.booleans()):
+        n = sympy.nextprime(n)
+    return n + 2 if isqrt(n) ** 2 == n else n
+
+
+@given(odd_non_squares_above_word_size())
+@settings(max_examples=60, deadline=None)
+def test_strong_lucas_against_sympy_above_word_size(n):
+    assert _strong_lucas(n) == is_strong_lucas_prp(n)
 
 
 def test_large_known_primes():

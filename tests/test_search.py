@@ -13,10 +13,11 @@ from math import prod
 import pytest
 
 from tauprimes import search
-from tauprimes.congruence import Class23Tag, allowed_residues_for_prime_value, excluded_b_set
+from tauprimes.congruence import Class23Tag, allowed_residues_for_prime_value, classify_mod23, excluded_b_set
 from tauprimes.hecke import PrimeLocalData, hecke_terms, tau_prime_power
 from tauprimes.primality import is_probable_prime, primes_up_to
 from tauprimes.search import (
+    SearchHit,
     Verdict,
     _sieve_product,
     census_by_residue,
@@ -25,6 +26,7 @@ from tauprimes.search import (
     search_prime_tau,
     smallest_prime_tau,
 )
+from tauprimes.series import TauTable
 
 LEHMER_VALUE = -80561663527802406257321747
 
@@ -169,6 +171,23 @@ def test_smallest_prime_tau(table100k):
         smallest_prime_tau(0, table=table100k)
     with pytest.raises(ValueError):
         smallest_prime_tau(200_000, table=table100k)
+    # tau(2) = +-2 would be prime though 2 is not an odd square.
+    assert smallest_prime_tau(2, table=TauTable((1, -2))) == (2, -2)
+    assert smallest_prime_tau(2, table=TauTable((1, 2))) == (2, 2)
+    assert smallest_prime_tau(2, table=TauTable((1, 4))) is None
+
+
+def test_census_reports_an_odd_prime_at_composite_index():
+    # An odd prime tau(p^{2k}) forces 2k + 1 prime: a planted hit at k = 4
+    # (9 = 3^2) is an anomaly, one at k = 3 (7 prime) is not.
+    value = 1009
+
+    def planted(k):
+        return SearchHit(5, k, value, value % 23, classify_mod23(5), Verdict.PROBABLE_PRIME)
+
+    census = census_by_residue([planted(3), planted(4)], value)
+    assert census.footnote_anomalies == (planted(4),)
+    assert census.total == 2
 
 
 def test_census(table2k):
@@ -311,6 +330,25 @@ def test_failing_child_raises(table10k, monkeypatch):
     monkeypatch.setattr(search, "_verdict_for", child_fails)
     with pytest.raises(RuntimeError, match=r"verdict worker \d+ exited with status 1$"):
         search_prime_tau(700, 8, 10**45, table=table10k)
+
+
+def test_interrupted_child_leaves_the_interrupt_to_the_parent(table10k, monkeypatch):
+    # ^C signals the whole process group.  The parent answers it (the CLI
+    # exits 130), so a child ignores its copy rather than dying as a failed
+    # worker: here a child signals only itself, and the search completes.
+    grid = (700, 8, 10**45)
+    serial = _serial(grid, table10k)
+    _force_split(monkeypatch, 2)
+    parent = os.getpid()
+    verdict_for = search._verdict_for
+
+    def child_interrupted(row, k):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGINT)
+        return verdict_for(row, k)
+
+    monkeypatch.setattr(search, "_verdict_for", child_interrupted)
+    assert search_prime_tau(*grid, table=table10k) == serial
 
 
 def test_child_that_exits_0_undecided_raises(table10k, monkeypatch):
